@@ -14,6 +14,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fm, linalg
+from .chirotope import Chirotope, pullback_sign
 from .field import FieldValue, format_value, parse_value, sign
 from .linalg import Matrix
 from .normal_systems import NormalSystem, find_isomorphisms
@@ -67,20 +68,13 @@ class HyperplaneArrangement:
     def is_valid(self) -> bool:
         # every <= m rows independent (then each such intersection is a
         # nonempty affine flat of the right dimension), and every m+1
-        # hyperplanes miss a common point: bordered determinant nonzero
+        # hyperplanes miss a common point: no zero in the chirotope of the
+        # homogenized rows
         try:
-            ns = NormalSystem(self.m, self.coeffs)
+            ns = NormalSystem(self.m, self.coeffs, check=False)
         except ValueError:
             return False
-        if not ns.is_valid():
-            return False
-        for sub in combinations(range(self.n), self.m + 1):
-            b = Matrix(
-                [list(self.coeffs[i]) + [self.constants[i]] for i in sub]
-            )
-            if sign(linalg.det(b)) == 0:
-                return False
-        return True
+        return ns.is_valid() and _homogenized(self).zero() is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -99,8 +93,20 @@ class HyperplaneArrangement:
         return f"HyperplaneArrangement(m={self.m}, n={self.n})"
 
 
-def validate(ha: HyperplaneArrangement) -> bool:
-    return ha.is_valid()
+def _homogenized(ha: HyperplaneArrangement) -> Chirotope:
+    """Chirotope of the rows (a_i | c_i); its signs are the bordered
+    determinants of every (m+1)-subset."""
+    return Chirotope(
+        ha.m + 1, {i: ha.row(i) + (ha.constant(i),) for i in ha.labels}
+    )
+
+
+def _concurrency_free(ha: HyperplaneArrangement) -> Chirotope:
+    chi = _homogenized(ha)
+    bad = chi.zero()
+    if bad is not None:
+        raise ValueError(f"hyperplanes {bad} are concurrent")
+    return chi
 
 
 def normal_system_of(ha: HyperplaneArrangement) -> NormalSystem:
@@ -228,10 +234,7 @@ def simplex_orientation_check(
         if not sign(lhs - ha.constant(i)) < 0:
             raise ValueError(f"normal {i} is not outward")
         verts.append(p)
-    vsign = vertex_orientation(verts)
-    bordered = Matrix([list(ha.row(i)) + [ha.constant(i)] for i in ha.labels])
-    nsign = sign(linalg.det(bordered))
-    return vsign, nsign
+    return vertex_orientation(verts), _homogenized(ha)(ha.labels)
 
 
 def is_simplex_polyhedrality(
@@ -285,9 +288,6 @@ class ConcurrencySignMap:
     def __eq__(self, other):
         return isinstance(other, ConcurrencySignMap) and self.signs == other.signs
 
-    def negate(self) -> "ConcurrencySignMap":
-        return ConcurrencySignMap({k: -v for k, v in self.signs.items()})
-
     def to_json_dict(self) -> dict:
         return {
             ",".join(map(str, k)): v for k, v in self.signs.items()
@@ -303,13 +303,7 @@ def _bordered_det(
 
 
 def concurrency_sign_map(ha: HyperplaneArrangement) -> ConcurrencySignMap:
-    out = {}
-    for sub in combinations(ha.labels, ha.m + 1):
-        s = sign(_bordered_det(ha, sub))
-        if s == 0:
-            raise ValueError(f"hyperplanes {sub} are concurrent")
-        out[sub] = s
-    return ConcurrencySignMap(out)
+    return ConcurrencySignMap(_concurrency_free(ha).signs)
 
 
 def induced_sign_map(
@@ -321,18 +315,10 @@ def induced_sign_map(
     the determinant with rows mu(i) * (a2_{pi(i)} | c2_{pi(i)}) in source
     order.
     """
-    out = {}
-    for sub in combinations(sorted(w.labels), ha2.m + 1):
-        rows = []
-        for i in sub:
-            j = w.perm[i]
-            mu = w.signs[i]
-            rows.append([mu * x for x in ha2.row(j)] + [mu * ha2.constant(j)])
-        s = sign(linalg.det(Matrix(rows)))
-        if s == 0:
-            raise ValueError(f"witness maps {sub} onto concurrent hyperplanes")
-        out[sub] = s
-    return ConcurrencySignMap(out)
+    chi = _concurrency_free(ha2)
+    return ConcurrencySignMap(
+        {sub: chi.pullback(w, sub) for sub in combinations(sorted(w.labels), ha2.m + 1)}
+    )
 
 
 class IsoResult:
@@ -363,13 +349,14 @@ def arrangements_isomorphic(
     """
     if ha1.m != ha2.m or ha1.n != ha2.n:
         raise ValueError("arrangements must share n and m")
-    s1 = concurrency_sign_map(ha1)
-    for w in find_isomorphisms(normal_system_of(ha1), normal_system_of(ha2)):
-        s2 = induced_sign_map(ha2, w)
-        if s2 == s1:
-            return IsoResult(True, w, "a")
-        if s2 == s1.negate():
-            return IsoResult(True, w, "b")
+    chi1, chi2 = _concurrency_free(ha1), _concurrency_free(ha2)
+    # find_isomorphisms validates the coefficient systems itself
+    ns1 = NormalSystem(ha1.m, ha1.coeffs, check=False)
+    ns2 = NormalSystem(ha2.m, ha2.coeffs, check=False)
+    for w in find_isomorphisms(ns1, ns2):
+        eps = pullback_sign(chi1, chi2, w)
+        if eps:
+            return IsoResult(True, w, "a" if eps > 0 else "b")
     return IsoResult(False)
 
 

@@ -16,6 +16,7 @@ from typing import Optional
 from . import arrangements, fixtures
 from .arrangements import HyperplaneArrangement
 from .cycles import all_cycle_invariants
+from .field import QuadExt, parse_value
 from .normal_systems import NormalSystem, find_isomorphisms, oracle_isomorphisms
 from .sphere import AntipodalArrangement, ArrangementError
 from .symbols import compatible_symbols
@@ -41,19 +42,39 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _load_object(path: str):
-    """Parse a file into the object its keys announce, without validating."""
-    data = _load_json(path)
+def _scalars(path: str, values) -> list:
+    if not isinstance(values, list) or not all(isinstance(s, str) for s in values):
+        raise ParseFailure(f"{path}: expected lists of scalar strings")
     try:
-        if "vectors" in data:
-            return NormalSystem.from_json_dict({**data, "vectors": data["vectors"]})
-        if "points" in data:
-            return AntipodalArrangement.from_json_dict(data)
-        if "coeffs" in data:
-            return HyperplaneArrangement.from_json_dict(data)
+        return [parse_value(s) for s in values]
+    except ValueError as exc:
+        raise ParseFailure(f"{path}: {exc}") from exc
+
+
+def _load_object(path: str):
+    """Parse a file into the object its keys announce; construction
+    validates it.  A malformed JSON shape or scalar, or values from two
+    quadratic fields, is a parse error; a well-formed invalid object is not.
+    """
+    data = _load_json(path)
+    key = next((k for k in ("vectors", "points", "coeffs") if k in data), None)
+    if key is None:
+        raise ParseFailure(f"{path}: no 'vectors', 'points' or 'coeffs' key")
+    dim = data.get("k" if key == "points" else "m")
+    if type(dim) is not int or not isinstance(data[key], list):
+        raise ParseFailure(f"{path}: expected an integer dimension and a list of rows")
+    rows = [_scalars(path, r) for r in data[key]]
+    constants = _scalars(path, data.get("constants")) if key == "coeffs" else []
+    if len({x.d for r in rows + [constants] for x in r if isinstance(x, QuadExt)}) > 1:
+        raise ParseFailure(f"{path}: values from more than one quadratic field")
+    try:
+        if key == "vectors":
+            return NormalSystem(dim, rows)
+        if key == "points":
+            return AntipodalArrangement.from_vectors(dim, rows)
+        return HyperplaneArrangement(dim, rows, constants)
     except (ArrangementError, ValueError) as exc:
         raise InvalidObject(path, str(exc)) from exc
-    raise ParseFailure(f"{path}: no 'vectors', 'points' or 'coeffs' key")
 
 
 class InvalidObject(Exception):
@@ -89,32 +110,20 @@ def _witness_dict(w) -> dict:
 
 
 def cmd_validate(args) -> int:
-    obj = _load_object(args.path)
-    if isinstance(obj, NormalSystem):
-        ok = obj.is_valid()
-        kind = "normal-system"
-    elif isinstance(obj, AntipodalArrangement):
-        ok, bad = obj.general_position()
-        kind = "sphere-arrangement"
-        if not ok:
-            print(f"dependent subset: {bad}", file=sys.stderr)
-    else:
-        ok = obj.is_valid()
-        kind = "hyperplane-arrangement"
-    verdict = "valid" if ok else "invalid"
-    _emit(args, {"kind": kind, "valid": ok}, [f"{kind}: {verdict}"])
-    return EXIT_OK if ok else EXIT_INVALID
+    # construction validates: an invalid object raises InvalidObject
+    kind = {
+        NormalSystem: "normal-system",
+        AntipodalArrangement: "sphere-arrangement",
+        HyperplaneArrangement: "hyperplane-arrangement",
+    }[type(_load_object(args.path))]
+    _emit(args, {"kind": kind, "valid": True}, [f"{kind}: valid"])
+    return EXIT_OK
 
 
 def _as_sphere(obj, path: str) -> AntipodalArrangement:
     if isinstance(obj, NormalSystem):
-        if not obj.is_valid():
-            raise InvalidObject(path, "not a normal system")
         return obj.to_arrangement()
     if isinstance(obj, AntipodalArrangement):
-        ok, bad = obj.general_position()
-        if not ok:
-            raise InvalidObject(path, f"dependent subset {bad}")
         return obj
     raise InvalidObject(path, "expected a normal system or sphere arrangement")
 
@@ -133,8 +142,6 @@ def cmd_ns_iso(args) -> int:
     for path, ns in ((args.path1, ns1), (args.path2, ns2)):
         if not isinstance(ns, NormalSystem):
             raise InvalidObject(path, "expected a normal system")
-        if not ns.is_valid():
-            raise InvalidObject(path, "not a normal system")
     if args.oracle:
         witnesses = oracle_isomorphisms(ns1, ns2)
     else:
@@ -158,8 +165,6 @@ def cmd_ha_iso(args) -> int:
     for path, ha in ((args.path1, ha1), (args.path2, ha2)):
         if not isinstance(ha, HyperplaneArrangement):
             raise InvalidObject(path, "expected a hyperplane arrangement")
-        if not ha.is_valid():
-            raise InvalidObject(path, "not in general position")
     if args.oracle:
         iso = arrangements.definition_oracle_isomorphic(ha1, ha2)
         payload = {"isomorphic": iso, "method": "definition-oracle"}
@@ -184,8 +189,6 @@ def cmd_regions(args) -> int:
     ha = _load_object(args.path)
     if not isinstance(ha, HyperplaneArrangement):
         raise InvalidObject(args.path, "expected a hyperplane arrangement")
-    if not ha.is_valid():
-        raise InvalidObject(args.path, "not in general position")
     total, bounded, unbounded = arrangements.region_counts(ha)
     predicted = arrangements.predicted_counts(ha.n, ha.m)
     formula_ok = (total, bounded, unbounded) == predicted
@@ -210,8 +213,6 @@ def cmd_signs(args) -> int:
     ha = _load_object(args.path)
     if not isinstance(ha, HyperplaneArrangement):
         raise InvalidObject(args.path, "expected a hyperplane arrangement")
-    if not ha.is_valid():
-        raise InvalidObject(args.path, "not in general position")
     smap = arrangements.concurrency_sign_map(ha)
     payload = smap.to_json_dict()
     lines = [f"{key}: {'+' if v > 0 else '-'}" for key, v in payload.items()]
@@ -258,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--output", metavar="PATH", default=None)
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
-    parser.add_argument("--jobs", type=int, default=1, help="parallelism degree")
     parser.add_argument(
         "--oracle", action="store_true", help="force the brute-force decision path"
     )

@@ -3,8 +3,10 @@
 On a 2-sphere arrangement, the lines through the other antipodal pairs have
 an exact cyclic order around each point.  For higher spheres the full
 invariant is the family of those cycles over all projections along
-(k-2)-subsets.  All angular comparisons are 2x2 determinant signs; there is
-no trigonometry.
+(k-2)-subsets.  All angular comparisons are determinant signs; there is no
+trigonometry.  ``line_cycle`` reads one cycle off explicit plane
+coordinates; ``all_cycle_invariants`` reads the whole family off the
+chirotope, without projecting.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ import functools
 from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
+from .chirotope import Chirotope
 from .field import sign
 from .sphere import (
     AntipodalArrangement,
-    SpherePoint,
     _frame_coordinates,
     oriented_complement_frame,
-    project_arrangement,
 )
 
 
@@ -65,14 +66,6 @@ class LineCycle:
 
     def __str__(self):
         return "(" + " ".join(str(a) for a in self.labels) + ")"
-
-
-def conjugate(cycle: LineCycle, perm: Dict[int, int]) -> LineCycle:
-    return cycle.conjugate(perm)
-
-
-def inverse(cycle: LineCycle) -> LineCycle:
-    return cycle.inverse()
 
 
 def _fold_upper(u):
@@ -158,10 +151,38 @@ def all_cycle_invariants(arr: AntipodalArrangement) -> CycleInvariantSet:
         raise ValueError("cycle invariants need sphere dimension >= 2")
     if arr.n < k + 2:
         raise ValueError(f"need at least {k + 2} antipodal pairs")
+    return chirotope_cycles(
+        Chirotope(k + 1, {i: p.rep for i, p in arr.points.items()})
+    )
+
+
+def chirotope_cycles(chi: Chirotope) -> CycleInvariantSet:
+    """The cycle family of a uniform chirotope of rank k + 1 >= 3.
+
+    Projected along a sorted subset A and seen from P_j, the lines through
+    P_q and P_r have orientation sign chi(A, j, q, r).  Folding every line
+    into the half-plane that starts at a reference line q0 and sorting by
+    angle gives the cycle; the cycle at -P_j is its inverse.
+    """
+    bad = chi.zero()
+    if bad is not None:
+        raise ValueError(f"dependent subset {bad}: not in general position")
     cycles: Dict[CycleKey, LineCycle] = {}
-    for subset in combinations(arr.labels, k - 2):
-        proj = project_arrangement(arr, subset)
-        for j in proj.labels:
-            cycles[(subset, j, +1)] = line_cycle(proj, j, positive=True)
-            cycles[(subset, j, -1)] = line_cycle(proj, j, positive=False)
+    for subset in combinations(chi.labels, chi.rank - 3):
+        rest = [i for i in chi.labels if i not in subset]
+        for j in rest:
+            head = subset + (j,)
+            q0, *others = [q for q in rest if q != j]
+            fold = {q0: 1}
+            for r in others:
+                fold[r] = chi(head + (q0, r))
+            order = sorted(
+                fold,
+                key=functools.cmp_to_key(
+                    lambda q, r: -fold[q] * fold[r] * chi(head + (q, r))
+                ),
+            )
+            cyc = LineCycle(order)
+            cycles[(subset, j, +1)] = cyc
+            cycles[(subset, j, -1)] = cyc.inverse()
     return CycleInvariantSet(cycles)

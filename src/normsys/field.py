@@ -189,37 +189,7 @@ def sign(x: FieldValue) -> int:
 
 def cmp_values(x: FieldValue, y: FieldValue) -> int:
     """sign(x - y): -1, 0 or +1."""
-    return sign(_sub(x, y))
-
-
-def _sub(x, y):
-    if isinstance(x, QuadExt) or isinstance(y, QuadExt):
-        if isinstance(x, QuadExt):
-            return x - y
-        return -(y - x)
-    return x - y
-
-
-def add(x: FieldValue, y: FieldValue) -> FieldValue:
-    return x + y
-
-
-def sub(x: FieldValue, y: FieldValue) -> FieldValue:
-    return _sub(x, y)
-
-
-def mul(x: FieldValue, y: FieldValue) -> FieldValue:
-    return x * y
-
-
-def div(x: FieldValue, y: FieldValue) -> FieldValue:
-    if isinstance(y, QuadExt):
-        return x / y if isinstance(x, QuadExt) else QuadExt(x, 0, y.d) / y
-    if y == 0:
-        raise ZeroDivisionError("division by zero")
-    if isinstance(x, QuadExt):
-        return x / y
-    return Fraction(x) / y
+    return sign(x - y)
 
 
 _QUAD_RE = re.compile(

@@ -11,15 +11,16 @@ line-cycle invariants of the associated sphere arrangement.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cycles import LineCycle, all_cycle_invariants
+from .chirotope import Chirotope, pullback_sign
+from .cycles import chirotope_cycles
 from .field import FieldValue, format_value, parse_value, sign
 from .linalg import Matrix
-from .sphere import AntipodalArrangement, ArrangementError, SpherePoint
-from .symbols import SignedBijection
+from .sphere import AntipodalArrangement
+from .symbols import SignedBijection, all_signed_bijections
 
 IsoWitness = SignedBijection
 
@@ -58,12 +59,10 @@ class NormalSystem:
         return self.vectors[label - 1]
 
     def is_valid(self) -> bool:
-        size = min(self.m, self.n)
-        for sub in combinations(range(self.n), size):
-            m = Matrix([self.vectors[i] for i in sub])
-            if linalg.rank(m) != size:
-                return False
-        return True
+        # with n >= m every smaller subset lies in an independent m-subset
+        if self.n < self.m:
+            return linalg.rank(Matrix(self.vectors)) == self.n
+        return _chirotope(self).zero() is None
 
     def to_arrangement(self) -> AntipodalArrangement:
         """The antipodal arrangement view on the (m-1)-sphere."""
@@ -101,79 +100,15 @@ def validate_normal_system(ns: NormalSystem) -> bool:
     return ns.is_valid()
 
 
-class _SignTable:
-    """Cached sign data for positive-combination tests.
-
-    For every sorted m-subset base B and label u outside it, ``pattern``
-    holds the coefficient signs of v_u over the base, in base order.
-    """
-
-    __slots__ = ("ns", "pattern")
-
-    def __init__(self, ns: NormalSystem):
-        self.ns = ns
-        self.pattern: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
-        m, labels = ns.m, ns.labels
-        if ns.n <= m:
-            return
-        dets: Dict[Tuple[int, ...], FieldValue] = {}
-        for base in combinations(labels, m):
-            dets[base] = linalg.det(Matrix([ns.vector(i) for i in base]))
-        for base in combinations(labels, m):
-            base_sign = sign(dets[base])
-            for u in labels:
-                if u in base:
-                    continue
-                sigs = []
-                for pos in range(m):
-                    rows = list(base)
-                    rows[pos] = u
-                    # determinant with v_u in the replaced slot, via the
-                    # sorted-subset table and the parity of sorting
-                    srt = tuple(sorted(rows))
-                    par = _parity(rows, srt)
-                    sigs.append(par * sign(dets[srt]) * base_sign)
-                self.pattern[(base, u)] = tuple(sigs)
+def _chirotope(ns: NormalSystem) -> Chirotope:
+    return Chirotope(ns.m, dict(zip(ns.labels, ns.vectors)))
 
 
-def _parity(seq: Sequence[int], sorted_seq: Sequence[int]) -> int:
-    pos = {v: i for i, v in enumerate(sorted_seq)}
-    perm = [pos[v] for v in seq]
-    par = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            par = -par
-    return par
-
-
-def _preserves_positivity(
-    w: SignedBijection, t1: _SignTable, t2: _SignTable
-) -> bool:
-    """Full coefficient-sign-pattern criterion over every base and outside
-    label.
-
-    Positive combinations range over signed points, so preserving them in
-    both directions forces the whole sign pattern to transform exactly, not
-    merely the all-positive case.
-    """
-    perm, mu = w.perm, w.signs
-    for (base, u), pat1 in t1.pattern.items():
-        mapped = sorted(perm[i] for i in base)
-        pat2 = t2.pattern[(tuple(mapped), perm[u])]
-        slot = {lab: s for lab, s in zip(mapped, pat2)}
-        mu_u = mu[u]
-        for i, s1 in zip(base, pat1):
-            if s1 != mu_u * mu[i] * slot[perm[i]]:
-                return False
-    return True
+def _valid_chirotope(ns: NormalSystem) -> Chirotope:
+    chi = _chirotope(ns)
+    if chi.zero() is not None or (ns.n < ns.m and not ns.is_valid()):
+        raise ValueError("inputs must be valid normal systems")
+    return chi
 
 
 def is_convex_positive_bijection(
@@ -184,16 +119,7 @@ def is_convex_positive_bijection(
         raise ValueError("systems must share n and m")
     if set(w.labels) != set(ns1.labels):
         raise ValueError("witness labels do not match the systems")
-    return _preserves_positivity(w, _SignTable(ns1), _SignTable(ns2))
-
-
-def _all_witnesses(labels: Sequence[int]) -> List[SignedBijection]:
-    out = []
-    for images in permutations(labels):
-        perm = dict(zip(labels, images))
-        for sv in product((1, -1), repeat=len(labels)):
-            out.append(SignedBijection(perm, dict(zip(labels, sv))))
-    return out
+    return pullback_sign(_chirotope(ns1), _chirotope(ns2), w) != 0
 
 
 def oracle_isomorphisms(
@@ -206,8 +132,8 @@ def oracle_isomorphisms(
         raise ValueError("system sizes differ")
     if ns1.n > max_n:
         raise ValueError(f"oracle limited to n <= {max_n}")
-    t1, t2 = _SignTable(ns1), _SignTable(ns2)
-    out = [w for w in _all_witnesses(ns1.labels) if _preserves_positivity(w, t1, t2)]
+    chi1, chi2 = _chirotope(ns1), _chirotope(ns2)
+    out = [w for w in all_signed_bijections(ns1.labels) if pullback_sign(chi1, chi2, w)]
     return sorted(out)
 
 
@@ -283,28 +209,26 @@ def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBiject
 
     For m >= 3 candidate maps are seeded from a single projected line cycle
     and checked against the complete cycle family, then verified by the
-    positive-combination criterion.  Returns the empty list exactly when the
-    systems are not isomorphic.
+    positive-combination criterion.  The cycles, the criterion and the
+    validity of the inputs all come from the two chirotopes.  Returns the
+    empty list exactly when the systems are not isomorphic.
     """
     if ns1.m != ns2.m:
         raise ValueError("ambient dimensions differ")
     if ns1.n != ns2.n:
         raise ValueError("system sizes differ")
-    if not ns1.is_valid() or not ns2.is_valid():
-        raise ValueError("inputs must be valid normal systems")
+    chi1, chi2 = _valid_chirotope(ns1), _valid_chirotope(ns2)
     m, n = ns1.m, ns1.n
     if n <= m:
         # no label lies outside a base, so every signed bijection works
-        return sorted(_all_witnesses(ns1.labels))
+        return sorted(all_signed_bijections(ns1.labels))
     if m == 1:
         return _line_isomorphisms(ns1, ns2)
     if m == 2:
         return _plane_isomorphisms(ns1, ns2)
 
-    arr1 = ns1.to_arrangement()
-    arr2 = ns2.to_arrangement()
-    inv1 = all_cycle_invariants(arr1)
-    inv2 = all_cycle_invariants(arr2)
+    inv1 = chirotope_cycles(chi1)
+    inv2 = chirotope_cycles(chi2)
     k = m - 1
     labels = ns1.labels
     base_block = tuple(labels[: k - 2])
@@ -312,7 +236,6 @@ def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBiject
     j0 = rest[0]
     seed_cycle = inv1[(base_block, j0, +1)]
 
-    t1, t2 = _SignTable(ns1), _SignTable(ns2)
     found = set()
     for block_image in permutations(labels, k - 2):
         others = [j for j in labels if j not in block_image]
@@ -328,11 +251,10 @@ def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBiject
                     if len(set(perm.values())) != n:
                         continue
                     w = _complete_witness(perm, inv1, inv2, labels, k, base_block)
-                    if w is None:
-                        continue
-                    for cand in (w, w.negate()):
-                        if _preserves_positivity(cand, t1, t2):
-                            found.add(cand)
+                    # negating mu scales the pulled-back chirotope by
+                    # (-1)^m, so w and w.negate() pass or fail together
+                    if w is not None and pullback_sign(chi1, chi2, w):
+                        found.update((w, w.negate()))
     return sorted(found)
 
 

@@ -59,10 +59,6 @@ class SpherePoint:
         return f"SpherePoint({[format_value(x) for x in self.rep]})"
 
 
-def canonicalize(vector: Sequence[FieldValue]) -> SpherePoint:
-    return SpherePoint(vector)
-
-
 def independent(points: Sequence[SpherePoint]) -> bool:
     """True iff the representatives span a space of full count."""
     if not points:
@@ -188,16 +184,6 @@ class AntipodalArrangement:
     def from_json_dict(cls, data: dict) -> "AntipodalArrangement":
         vectors = [[parse_value(s) for s in row] for row in data["points"]]
         return cls.from_vectors(int(data["k"]), vectors)
-
-
-def validate_arrangement(
-    points: Sequence[SpherePoint], dim_k: int
-) -> Tuple[bool, Optional[Tuple[int, ...]]]:
-    """Diagnostic general-position check on an indexed point list."""
-    arr = AntipodalArrangement(
-        dim_k, {i + 1: p for i, p in enumerate(points)}, check=False
-    )
-    return arr.general_position()
 
 
 def oriented_complement_frame(span_reps: Sequence[Sequence[FieldValue]]) -> list:

@@ -13,6 +13,7 @@ from itertools import permutations, product
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import linalg
+from .chirotope import Chirotope, pullback_sign
 from .field import sign
 from .linalg import Matrix
 from .sphere import AntipodalArrangement, positive_combination
@@ -215,9 +216,6 @@ class SignedBijection:
         labels = list(labels)
         return cls({i: i for i in labels}, {i: 1 for i in labels})
 
-    def is_identity(self) -> bool:
-        return all(self.perm[i] == i and self.signs[i] == 1 for i in self.labels)
-
 
 def all_signed_bijections(labels: Sequence[int]) -> List[SignedBijection]:
     labels = list(labels)
@@ -272,12 +270,7 @@ def match_to_standard(cycle_map) -> List[SignedBijection]:
 
 def automorphisms(arr: AntipodalArrangement) -> List[SignedBijection]:
     """All convex positive bijections of a four-pair arrangement to itself."""
-    from .normal_systems import NormalSystem, is_convex_positive_bijection
-
-    ns = NormalSystem.from_arrangement(arr)
-    out = [
-        w
-        for w in all_signed_bijections(list(arr.labels))
-        if is_convex_positive_bijection(w, ns, ns)
-    ]
-    return sorted(out)
+    chi = Chirotope(arr.dim_k + 1, {i: p.rep for i, p in arr.points.items()})
+    return sorted(
+        w for w in all_signed_bijections(arr.labels) if pullback_sign(chi, chi, w)
+    )

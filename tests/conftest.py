@@ -11,6 +11,7 @@ from normsys import (
     HyperplaneArrangement,
     Matrix,
     NormalSystem,
+    QuadExt,
     det,
     sign,
 )
@@ -21,9 +22,18 @@ def random_fraction(rng: random.Random, lo=-5, hi=5, max_den=3) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
-def random_normal_system(rng: random.Random, m: int, n: int) -> NormalSystem:
+def random_scalar(rng: random.Random, d=None):
+    """A random rational, or a + b*sqrt(d) with random rationals a, b."""
+    if d is None:
+        return random_fraction(rng)
+    return QuadExt(random_fraction(rng), random_fraction(rng), d)
+
+
+def random_normal_system(
+    rng: random.Random, m: int, n: int, d=None
+) -> NormalSystem:
     while True:
-        vecs = [[random_fraction(rng) for _ in range(m)] for _ in range(n)]
+        vecs = [[random_scalar(rng, d) for _ in range(m)] for _ in range(n)]
         if any(not any(v) for v in vecs):
             continue
         ns = NormalSystem(m, vecs, check=False)
@@ -43,11 +53,11 @@ def random_arrangement(rng: random.Random, m: int, n: int) -> HyperplaneArrangem
 
 
 def random_sphere_arrangement(
-    rng: random.Random, k: int, n: int
+    rng: random.Random, k: int, n: int, d=None
 ) -> AntipodalArrangement:
     while True:
         vecs = [
-            [random_fraction(rng) for _ in range(k + 1)] for _ in range(n)
+            [random_scalar(rng, d) for _ in range(k + 1)] for _ in range(n)
         ]
         if any(not any(v) for v in vecs):
             continue
@@ -57,19 +67,23 @@ def random_sphere_arrangement(
             return arr
 
 
-def random_invertible(rng: random.Random, m: int) -> Matrix:
+def random_invertible(rng: random.Random, m: int, d=None) -> Matrix:
+    """Small integer entries, or a + b*sqrt(d) with small integers a, b."""
+    def entry():
+        if d is None:
+            return Fraction(rng.randint(-3, 3))
+        return QuadExt(rng.randint(-2, 2), rng.randint(-2, 2), d)
+
     while True:
-        mat = Matrix(
-            [[Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]
-        )
+        mat = Matrix([[entry() for _ in range(m)] for _ in range(m)])
         if sign(det(mat)) != 0:
             return mat
 
 
-def transformed_system(rng: random.Random, ns: NormalSystem) -> NormalSystem:
+def transformed_system(rng: random.Random, ns: NormalSystem, d=None) -> NormalSystem:
     """An isomorphic copy: relabel, flip signs, and apply an invertible
     linear map (linear maps preserve all linear dependencies exactly)."""
-    mat = random_invertible(rng, ns.m)
+    mat = random_invertible(rng, ns.m, d)
     labels = list(ns.labels)
     images = labels[:]
     rng.shuffle(images)

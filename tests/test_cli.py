@@ -25,6 +25,14 @@ def files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     paths["bad"] = str(bad)
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps({"m": 2, "vectors": 5}))
+    paths["shape"] = str(shape)
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(
+        json.dumps({"m": 2, "vectors": [["1+1*sqrt(2)", "1"], ["1", "1*sqrt(3)"]]})
+    )
+    paths["mixed"] = str(mixed)
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -35,8 +43,10 @@ def test_validate(files, capsys):
 
 
 def test_parse_error_exit_code(files, capsys):
-    assert main(["validate", files["bad"]]) == 1
-    assert "parse error" in capsys.readouterr().err
+    # broken JSON, a wrong JSON shape, and two radicands in one file
+    for key in ("bad", "shape", "mixed"):
+        assert main(["validate", files[key]]) == 1
+        assert "parse error" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

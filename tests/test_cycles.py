@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from normsys import (
     all_cycle_invariants,
     line_cycle,
     load_fixture,
+    project_arrangement,
     standard_arrangement,
 )
 from normsys.symbols import STANDARD_DICTIONARY
@@ -92,3 +94,23 @@ def test_worked_example_tables():
         assert len(stored) == 12
         for (j, s), cyc in stored.items():
             assert line_cycle(arr, j, positive=(s > 0)) == cyc
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+def test_chirotope_cycles_match_projection(d):
+    """The family read off the chirotope equals the one built by projecting
+    along every (k-2)-subset and ordering plane coordinates, over Q and
+    over Q(sqrt d)."""
+    rng = random.Random(27 if d is None else d)
+    # quadratic-extension projections are slow, so fewer and smaller cases
+    sizes = (2, 2, 3) if d is None else (2,)
+    for k in (2, 3, 4):
+        for extra in sizes:
+            arr = random_sphere_arrangement(rng, k, k + extra, d)
+            expected = {}
+            for subset in combinations(arr.labels, k - 2):
+                proj = project_arrangement(arr, subset)
+                for j in proj.labels:
+                    for s in (1, -1):
+                        expected[(subset, j, s)] = line_cycle(proj, j, positive=s > 0)
+            assert all_cycle_invariants(arr).cycles == expected

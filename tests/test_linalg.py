@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normsys import Matrix, det, kernel_basis, rank
+from normsys import Matrix, det, kernel_basis, rank, sign
+from normsys.chirotope import Chirotope, integer_det
 from normsys.linalg import ProjectorPair, inverse, projectors, solve
 
 entries = st.fractions(min_value=-20, max_value=20, max_denominator=5)
@@ -43,6 +44,29 @@ def test_det_multiplicative(a, b):
 @given(square(3))
 def test_det_transpose(a):
     assert det(a) == det(a.transpose())
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_integer_bareiss_equals_det(rows):
+    assert integer_det(rows) == det(Matrix(rows))
+
+
+@settings(max_examples=60)
+@given(square(4))
+def test_chirotope_sign_matches_det(a):
+    # rational rows are scaled to integers before the integer Bareiss path
+    chi = Chirotope(4, dict(zip((1, 2, 3, 4), a.rows)))
+    assert chi((1, 2, 3, 4)) == sign(det(a))
+    assert chi((2, 1, 3, 4)) == chi((2, 3, 4, 1)) == -sign(det(a))
 
 
 @settings(max_examples=60)

@@ -1,17 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from normsys import (
     NormalSystem,
     SignedBijection,
+    SpherePoint,
     find_isomorphisms,
     is_convex_positive_bijection,
     load_fixture,
     oracle_isomorphisms,
+    positive_combination,
     validate_normal_system,
 )
+from normsys.chirotope import Chirotope, pullback_sign
+from normsys.symbols import all_signed_bijections
 from conftest import random_normal_system, transformed_system
 
 
@@ -97,3 +102,48 @@ def test_oracle_size_guard():
     big = random_normal_system(rng, 2, 8)
     with pytest.raises(ValueError):
         oracle_isomorphisms(big, big)
+
+
+def _coefficient_signs(ns):
+    """Signs of the coefficients of v_u over every sorted base, by solving."""
+    pts = {i: SpherePoint(ns.vector(i)) for i in ns.labels}
+    return {
+        (base, u): positive_combination(pts[u], [pts[i] for i in base]).signs
+        for base in combinations(ns.labels, ns.m)
+        for u in ns.labels
+        if u not in base
+    }
+
+
+def _preserves_combinations(w, c1, c2) -> bool:
+    """The definition: mu(u) v'_pi(u) over the base mu(i) v'_pi(i) has the
+    coefficient signs of v_u over the base v_i, for every base and u."""
+    for (base, u), sig1 in c1.items():
+        images = tuple(sorted(w.perm[i] for i in base))
+        sig2 = dict(zip(images, c2[(images, w.perm[u])]))
+        for i, s in zip(base, sig1):
+            if s != w.signs[u] * w.signs[i] * sig2[w.perm[i]]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+def test_chirotope_witness_test_matches_coefficient_signs(d):
+    """On every signed bijection, "the pulled-back chirotope is +-chi"
+    agrees with the coefficient-sign definition, over Q and Q(sqrt d)."""
+    rng = random.Random(40 if d is None else d)
+    shapes = ((1, 3), (2, 4), (3, 5), (4, 5), (3, 6)) if d is None else ((2, 4), (3, 5))
+    for m, n in shapes:
+        a = random_normal_system(rng, m, n, d)
+        planted = transformed_system(rng, a, d)
+        for b in (planted, random_normal_system(rng, m, n, d)):
+            chi_a = Chirotope(m, dict(zip(a.labels, a.vectors)))
+            chi_b = Chirotope(m, dict(zip(b.labels, b.vectors)))
+            c_a, c_b = _coefficient_signs(a), _coefficient_signs(b)
+            accepted = 0
+            for w in all_signed_bijections(a.labels):
+                expected = _preserves_combinations(w, c_a, c_b)
+                assert bool(pullback_sign(chi_a, chi_b, w)) == expected
+                accepted += expected
+            if b is planted:
+                assert accepted >= 2
