@@ -1,15 +1,18 @@
 """Hyperplane arrangements in general position.
 
-Covers validation, exact region enumeration with boundedness, orientation
+Covers validation, region enumeration with boundedness, orientation
 checks of simplices, concurrency sign maps and the sign-map isomorphism
 decision, single cone moves of the constants vector, and the
-hyperplane-at-infinity ordering search.
+hyperplane-at-infinity ordering search.  Regions, vertex sides and
+simplex polyhedralities are read off two chirotopes, of the normals and
+of the homogenized rows (a_i | c_i); Fourier-Motzkin elimination is used
+only for cone facets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -148,43 +151,47 @@ class Region:
         return f"Region({list(self.signs)}, bounded={self.bounded})"
 
 
-def _region_constraints(ha: HyperplaneArrangement, signs: Sequence[int]):
-    cons = []
-    for s, row, c in zip(signs, ha.coeffs, ha.constants):
-        cons.append(fm.constraint([s * x for x in row], s * c, True))
-    return cons
+def _vertex_sides(ha: HyperplaneArrangement):
+    """chi_A of the normals and side(B, h) = sign(a_h . v_B - c_h) for the
+    vertex v_B of an m-subset B and a label h outside it: subtracting A_B v_B
+    from the last column of the rows (a_i | c_i), i in B then h, leaves
+    det(A_B) (c_h - a_h . v_B), so side = -chi_A(B) chi_hom(B, h).
+    """
+    chi_a = Chirotope(ha.m, dict(zip(ha.labels, ha.coeffs)))
+    chi_hom = _homogenized(ha)
+    return chi_a, lambda base, h: -chi_a(base) * chi_hom(tuple(base) + (h,))
 
 
-def _region_feasible(ha: HyperplaneArrangement, signs: Sequence[int]) -> bool:
-    return fm.feasible(_region_constraints(ha, signs), ha.m)
-
-
-def _region_bounded(ha: HyperplaneArrangement, signs: Sequence[int]) -> bool:
-    # bounded iff the recession cone {d : s_i a_i . d >= 0} is {0}; a
-    # nonzero direction can be scaled so some coordinate is +-1
-    base = [
-        fm.constraint([s * x for x in row], Fraction(0), False)
-        for s, row in zip(signs, ha.coeffs)
-    ]
-    for j in range(ha.m):
-        for val in (1, -1):
-            unit = [Fraction(0)] * ha.m
-            unit[j] = Fraction(1)
-            cons = base + fm.equality_constraints(unit, Fraction(val))
-            if fm.feasible(cons, ha.m):
-                return False
-    return True
+def _fills(free: Sequence[int], pattern: list) -> set:
+    """Every sign vector equal to pattern off the labels in free."""
+    out = set()
+    for choice in product((-1, 1), repeat=len(free)):
+        for i, s in zip(free, choice):
+            pattern[i - 1] = s
+        out.add(tuple(pattern))
+    return out
 
 
 def enumerate_regions(ha: HyperplaneArrangement) -> List[Region]:
-    if ha.n > 10:
-        raise ValueError("region enumeration limited to n <= 10")
-    out = []
-    for bits in range(2 ** ha.n):
-        signs = tuple(1 if bits & (1 << i) else -1 for i in range(ha.n))
-        if _region_feasible(ha, signs):
-            out.append(Region(signs, _region_bounded(ha, signs)))
-    return sorted(out)
+    """All regions, sorted, with exact boundedness.
+
+    In general position with n >= m every region has a vertex v_B, so the
+    regions are the vertex sides off B with all 2^m signs on B.  A region is
+    unbounded iff its recession cone has an extreme ray: a cocircuit
+    +-(chi_A(L, h))_h of an (m-1)-subset L that agrees with its signs off L.
+    With n < m every sign vector is an unbounded region.
+    """
+    labels, m = ha.labels, ha.m
+    if ha.n < m:
+        return sorted(Region(s, False) for s in product((-1, 1), repeat=ha.n))
+    chi_a, side = _vertex_sides(ha)
+    regions, unbounded = set(), set()
+    for base in combinations(labels, m):
+        regions |= _fills(base, [0 if h in base else side(base, h) for h in labels])
+    for line in combinations(labels, m - 1):
+        ray = [0 if h in line else chi_a(line + (h,)) for h in labels]
+        unbounded |= _fills(line, ray) | _fills(line, [-s for s in ray])
+    return sorted(Region(s, s not in unbounded) for s in regions)
 
 
 def region_counts(ha: HyperplaneArrangement) -> Tuple[int, int, int]:
@@ -245,21 +252,12 @@ def is_simplex_polyhedrality(
     subset = tuple(sorted(subset))
     if len(subset) != ha.m + 1 or not set(subset) <= set(ha.labels):
         raise ValueError("subset must be m + 1 distinct hyperplane labels")
-    verts = [
-        _vertex(ha, [j for j in subset if j != i]) for i in subset
-    ]
+    _, side = _vertex_sides(ha)
     for h in ha.labels:
-        if h in subset:
-            continue
-        sides = set()
-        for p in verts:
-            lhs = sum(a * x for a, x in zip(ha.row(h), p))
-            s = sign(lhs - ha.constant(h))
-            if s == 0:
+        if h not in subset:
+            sides = {side([j for j in subset if j != i], h) for i in subset}
+            if 0 in sides or len(sides) > 1:
                 return False
-            sides.add(s)
-        if len(sides) > 1:
-            return False
     return True
 
 
@@ -493,22 +491,11 @@ def is_infinity_arrangement(
 ) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Search for an ordering in which every hyperplane is beyond all
     vertices of the ones placed before it (strictly on one common side)."""
-    m = ha.m
+    _, side = _vertex_sides(ha)
 
     def addable(built: frozenset, h: int) -> bool:
-        if len(built) < m:
-            return True
-        sides = set()
-        for sub in combinations(sorted(built), m):
-            p = _vertex(ha, sub)
-            lhs = sum(a * x for a, x in zip(ha.row(h), p))
-            s = sign(lhs - ha.constant(h))
-            if s == 0:
-                return False
-            sides.add(s)
-            if len(sides) > 1:
-                return False
-        return True
+        sides = {side(sub, h) for sub in combinations(sorted(built), ha.m)}
+        return 0 not in sides and len(sides) <= 1
 
     dead = set()
 
@@ -528,9 +515,7 @@ def is_infinity_arrangement(
         return None
 
     result = extend(frozenset(), ())
-    if result is None:
-        return False, None
-    return True, result
+    return result is not None, result
 
 
 def affine_image(

@@ -1,4 +1,5 @@
-"""Exact linear-inequality feasibility by Fourier-Motzkin elimination.
+"""Exact linear-inequality feasibility by Fourier-Motzkin elimination, for
+``arrangements.cone_facets`` (and the tests' region oracle).
 
 A constraint is (coeffs, rhs, strict) meaning coeffs . x > rhs when strict,
 else coeffs . x >= rhs.  Everything is exact field arithmetic; equalities

@@ -152,10 +152,24 @@ def is_compatible(arr: AntipodalArrangement, s: Symbol) -> bool:
 
 
 def compatible_symbols(arr: AntipodalArrangement) -> frozenset:
-    """The 24 compatible symbols of a four-pair arrangement on the 2-sphere."""
+    """The 24 compatible symbols of a four-pair arrangement on the 2-sphere.
+
+    By Cramer's rule a symbol is compatible iff its triple and the three
+    triples with one slot replaced by the head have negative determinants:
+    chi of the four points, negated once per antipodal label."""
     if arr.dim_k != 2 or arr.n != 4 or arr.labels != (1, 2, 3, 4):
         raise ValueError("expected a four-pair 2-sphere arrangement labeled 1..4")
-    return frozenset(s for s in all_symbols() if is_compatible(arr, s))
+    chi = Chirotope(3, {i: p.rep for i, p in arr.points.items()})
+
+    def negative(seq) -> bool:
+        return chi([abs(t) for t in seq]) * (-1) ** sum(t < 0 for t in seq) < 0
+
+    return frozenset(
+        s
+        for s in all_symbols()
+        if negative(s.triple)
+        and all(negative(s.triple[:j] + (s.head,) + s.triple[j + 1 :]) for j in range(3))
+    )
 
 
 class SignedBijection:

@@ -41,10 +41,18 @@ def random_normal_system(
             return ns
 
 
-def random_arrangement(rng: random.Random, m: int, n: int) -> HyperplaneArrangement:
+def random_arrangement(
+    rng: random.Random, m: int, n: int, d=None
+) -> HyperplaneArrangement:
+    """Small integer entries, or a + b*sqrt(d) with small integers a, b."""
+    def entry():
+        if d is None:
+            return Fraction(rng.randint(-4, 4))
+        return QuadExt(rng.randint(-4, 4), rng.randint(-4, 4), d)
+
     while True:
-        coeffs = [[Fraction(rng.randint(-4, 4)) for _ in range(m)] for _ in range(n)]
-        constants = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
+        coeffs = [[entry() for _ in range(m)] for _ in range(n)]
+        constants = [entry() for _ in range(n)]
         if any(not any(r) for r in coeffs):
             continue
         ha = HyperplaneArrangement(m, coeffs, constants, check=False)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from normsys import (
     HyperplaneArrangement,
     Matrix,
+    Region,
     SignedBijection,
     adjacent_cone_constants,
     affine_image,
@@ -22,8 +23,16 @@ from normsys import (
     predicted_counts,
     region_counts,
     simplex_orientation_check,
+    sign,
 )
-from conftest import random_arrangement, random_invertible, random_simplex_arrangement
+from normsys import fm
+from normsys.arrangements import _vertex_sides
+from conftest import (
+    random_arrangement,
+    random_invertible,
+    random_simplex_arrangement,
+    vertex_of,
+)
 
 
 def frac_rows(rows):
@@ -66,6 +75,87 @@ def test_region_counts_random():
         n = rng.randint(m + 1, 6)
         ha = random_arrangement(rng, m, n)
         assert region_counts(ha) == predicted_counts(n, m)
+
+
+def _region_constraints(ha, signs):
+    return [
+        fm.constraint([s * x for x in row], s * c, True)
+        for s, row, c in zip(signs, ha.coeffs, ha.constants)
+    ]
+
+
+def _region_feasible(ha, signs):
+    return fm.feasible(_region_constraints(ha, signs), ha.m)
+
+
+def _region_bounded(ha, signs):
+    # bounded iff the recession cone {d : s_i a_i . d >= 0} is {0}; a
+    # nonzero direction can be scaled so some coordinate is +-1
+    base = [
+        fm.constraint([s * x for x in row], Fraction(0), False)
+        for s, row in zip(signs, ha.coeffs)
+    ]
+    for j in range(ha.m):
+        for val in (1, -1):
+            unit = [Fraction(0)] * ha.m
+            unit[j] = Fraction(1)
+            cons = base + fm.equality_constraints(unit, Fraction(val))
+            if fm.feasible(cons, ha.m):
+                return False
+    return True
+
+
+def fm_regions(ha):
+    """Oracle: Fourier-Motzkin feasibility of every one of the 2^n sign
+    vectors, and boundedness from the recession cone."""
+    return sorted(
+        Region(signs, _region_bounded(ha, signs))
+        for signs in product((-1, 1), repeat=ha.n)
+        if _region_feasible(ha, signs)
+    )
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+def test_regions_match_fm_oracle(d):
+    rng = random.Random(48 + (d or 0))
+    for m in (1, 2, 3):
+        for n in range(8):
+            ha = random_arrangement(rng, m, n, d)
+            assert enumerate_regions(ha) == fm_regions(ha), (m, n, d)
+
+
+def grown_arrangement(rng, m, n):
+    """General position built one hyperplane at a time; drawing all n at
+    once rarely succeeds beyond n = 10."""
+    coeffs, constants = [], []
+    while len(coeffs) < n:
+        row = [Fraction(rng.randint(-9, 9)) for _ in range(m)]
+        c = Fraction(rng.randint(-9, 9))
+        if HyperplaneArrangement(m, coeffs + [row], constants + [c], check=False).is_valid():
+            coeffs.append(row)
+            constants.append(c)
+    return HyperplaneArrangement(m, coeffs, constants)
+
+
+def test_region_counts_beyond_ten_hyperplanes():
+    rng = random.Random(49)
+    for m, n in ((2, 14), (3, 12)):
+        assert region_counts(grown_arrangement(rng, m, n)) == predicted_counts(n, m)
+
+
+@pytest.mark.parametrize("d", [None, 2])
+def test_vertex_sides_match_solved_vertices(d):
+    rng = random.Random(50 + (d or 0))
+    for _ in range(10):
+        m = rng.randint(1, 3)
+        ha = random_arrangement(rng, m, rng.randint(m + 1, 6), d)
+        _, side = _vertex_sides(ha)
+        for base in combinations(ha.labels, m):
+            v = vertex_of(ha, base)
+            for h in ha.labels:
+                if h not in base:
+                    lhs = sum(a * x for a, x in zip(ha.row(h), v))
+                    assert side(base, h) == sign(lhs - ha.constant(h))
 
 
 def test_standard_simplex_orientation():

@@ -1,10 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from normsys import HyperplaneArrangement, load_fixture
+from normsys import HyperplaneArrangement, load_fixture, predicted_counts
 from normsys.cli import main
+from conftest import random_arrangement
 
 
 @pytest.fixture
@@ -74,6 +76,19 @@ def test_regions_output(files, capsys):
     assert (
         capsys.readouterr().out.strip()
         == "total=7 bounded=1 unbounded=6 formula=OK"
+    )
+
+
+def test_regions_quadratic_field(tmp_path, capsys):
+    # end to end over Q(sqrt 5): parse, enumerate and cross-check the formula
+    ha = random_arrangement(random.Random(70), 2, 6, 5)
+    path = tmp_path / "q5.json"
+    path.write_text(json.dumps(ha.to_json_dict()))
+    assert "sqrt(5)" in path.read_text()
+    assert main(["regions", str(path)]) == 0
+    total, bounded, unbounded = predicted_counts(6, 2)
+    assert capsys.readouterr().out.strip() == (
+        f"total={total} bounded={bounded} unbounded={unbounded} formula=OK"
     )
 
 

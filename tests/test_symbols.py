@@ -16,7 +16,8 @@ from normsys import (
     orbit,
     standard_arrangement,
 )
-from normsys.symbols import act, act_word, all_signed_bijections
+from normsys.symbols import act, act_word, all_signed_bijections, is_compatible
+from conftest import random_sphere_arrangement
 
 GENERATORS = ("12", "23", "34", "14")
 
@@ -69,6 +70,18 @@ def test_compatible_symbols_form_one_orbit():
     assert len(syms) == 24
     assert orbit(next(iter(syms))) == syms
     assert syms == load_fixture("S4-symbols").payload
+
+
+@pytest.mark.parametrize("d", [None, 2])
+def test_compatible_symbols_match_positive_combinations(d):
+    # chi of the four points decides each symbol by Cramer's rule; the
+    # reference solves for the head's coefficients over the triple
+    rng = random.Random(60 + (d or 0))
+    for _ in range(5):
+        arr = random_sphere_arrangement(rng, 2, 4, d)
+        syms = compatible_symbols(arr)
+        assert syms == {s for s in all_symbols() if is_compatible(arr, s)}
+        assert len(syms) == 24
 
 
 def test_signed_bijections_count_and_group():
