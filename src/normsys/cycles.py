@@ -6,7 +6,9 @@ invariant is the family of those cycles over all projections along
 (k-2)-subsets.  All angular comparisons are determinant signs; there is no
 trigonometry.  ``line_cycle`` reads one cycle off explicit plane
 coordinates; ``all_cycle_invariants`` reads the whole family off the
-chirotope, without projecting.
+chirotope, without projecting: each cycle is the cyclic order of lines of
+a rank-2 contraction (``contraction_order``), which the isomorphism search
+also aligns directly.
 """
 
 from __future__ import annotations
@@ -156,33 +158,44 @@ def all_cycle_invariants(arr: AntipodalArrangement) -> CycleInvariantSet:
     )
 
 
+def contraction_order(chi: Chirotope, head: Sequence[int]) -> Tuple[int, ...]:
+    """Cyclic order of the lines of the rank-2 contraction chi/head.
+
+    The other labels q, r have orientation sign chi(head, q, r).  Folding
+    every line into the half-plane that starts at the first other label q0
+    and sorting by angle gives the order, starting at an arbitrary line.
+    The head may be empty, for a chirotope of rank 2.
+    """
+    head = tuple(head)
+    q0, *others = [q for q in chi.labels if q not in head]
+    fold = {q0: 1}
+    for r in others:
+        fold[r] = chi(head + (q0, r))
+    return tuple(
+        sorted(
+            fold,
+            key=functools.cmp_to_key(
+                lambda q, r: -fold[q] * fold[r] * chi(head + (q, r))
+            ),
+        )
+    )
+
+
 def chirotope_cycles(chi: Chirotope) -> CycleInvariantSet:
     """The cycle family of a uniform chirotope of rank k + 1 >= 3.
 
-    Projected along a sorted subset A and seen from P_j, the lines through
-    P_q and P_r have orientation sign chi(A, j, q, r).  Folding every line
-    into the half-plane that starts at a reference line q0 and sorting by
-    angle gives the cycle; the cycle at -P_j is its inverse.
+    Projected along a sorted subset A and seen from P_j, the cycle is the
+    contraction order of chi by (A, j); the cycle at -P_j is its inverse.
     """
     bad = chi.zero()
     if bad is not None:
         raise ValueError(f"dependent subset {bad}: not in general position")
     cycles: Dict[CycleKey, LineCycle] = {}
     for subset in combinations(chi.labels, chi.rank - 3):
-        rest = [i for i in chi.labels if i not in subset]
-        for j in rest:
-            head = subset + (j,)
-            q0, *others = [q for q in rest if q != j]
-            fold = {q0: 1}
-            for r in others:
-                fold[r] = chi(head + (q0, r))
-            order = sorted(
-                fold,
-                key=functools.cmp_to_key(
-                    lambda q, r: -fold[q] * fold[r] * chi(head + (q, r))
-                ),
-            )
-            cyc = LineCycle(order)
+        for j in chi.labels:
+            if j in subset:
+                continue
+            cyc = LineCycle(contraction_order(chi, subset + (j,)))
             cycles[(subset, j, +1)] = cyc
             cycles[(subset, j, -1)] = cyc.inverse()
     return CycleInvariantSet(cycles)

@@ -4,20 +4,22 @@ A normal system is an indexed family of n nonzero vectors in F^m such that
 every subset of size at most m is linearly independent.  Two systems are
 isomorphic when a signed bijection of the vectors preserves positive
 combinations in both directions.  The decision runs two ways: a brute-force
-oracle over all signed bijections, and a pruned search driven by the
-line-cycle invariants of the associated sphere arrangement.
+oracle over all signed bijections, and one search for every m that reads
+candidate permutations off the cyclic orders of lines in the rank-2
+contractions of the chirotope (the line cycles of the sphere arrangement),
+solves the signs from the chirotope and verifies the result against it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .chirotope import Chirotope, pullback_sign
-from .cycles import chirotope_cycles
-from .field import FieldValue, format_value, parse_value, sign
+from .cycles import contraction_order
+from .field import FieldValue, format_value, parse_value
 from .linalg import Matrix
 from .sphere import AntipodalArrangement
 from .symbols import SignedBijection, all_signed_bijections
@@ -137,181 +139,100 @@ def oracle_isomorphisms(
     return sorted(out)
 
 
-def _circular_sequence(ns: NormalSystem) -> List[Tuple[int, int]]:
-    """Counterclockwise order of the 2n signed plane vectors, as
-    (label, sign) pairs starting from an arbitrary direction."""
-    items = []
-    for i in ns.labels:
-        for s in (1, -1):
-            v = ns.vector(i)
-            items.append(((s * v[0], s * v[1]), i, s))
-
-    def half(u):
-        # 0 for the upper half (y > 0, or y = 0 and x > 0), 1 for the lower
-        sy = sign(u[1])
-        if sy > 0 or (sy == 0 and sign(u[0]) > 0):
-            return 0
-        return 1
-
-    def cmp(p, q):
-        hp, hq = half(p[0]), half(q[0])
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = p[0][0] * q[0][1] - p[0][1] * q[0][0]
-        return -sign(cross)
-
-    import functools
-
-    items.sort(key=functools.cmp_to_key(cmp))
-    return [(i, s) for _, i, s in items]
+def _neighbours(order: Sequence[int]) -> Dict[int, Tuple[int, int]]:
+    """The two neighbours of each label in a cyclic order; they fix the
+    order up to rotation and reversal."""
+    before, after = order[-1:] + order[:-1], order[1:] + order[:1]
+    return {q: (p, r) for p, q, r in zip(before, order, after)}
 
 
-def _plane_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBijection]:
-    """m = 2: align the two circular sequences by rotation or reflection."""
-    seq1 = _circular_sequence(ns1)
-    seq2 = _circular_sequence(ns2)
-    n2 = len(seq1)
-    found = set()
-    for reflect in (False, True):
-        target = list(reversed(seq2)) if reflect else seq2
-        for shift in range(n2):
-            perm: Dict[int, int] = {}
-            mu: Dict[int, int] = {}
-            ok = True
-            for pos, (i, s) in enumerate(seq1):
-                j, t = target[(pos + shift) % n2]
-                want_perm, want_mu = j, s * t
-                if perm.setdefault(i, want_perm) != want_perm or mu.setdefault(
-                    i, want_mu
-                ) != want_mu:
-                    ok = False
-                    break
-            if ok:
-                found.add(SignedBijection(perm, mu))
-    return sorted(found)
+def _aligned(perm: Dict[int, int], order: Sequence[int], nbrs) -> bool:
+    """True iff perm carries the cyclic order onto the one with neighbours
+    nbrs, up to rotation and reversal."""
+    return all(perm[b] in nbrs[perm[a]] for a, b in zip(order, order[1:] + order[:1]))
 
 
-def _line_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBijection]:
-    """m = 1: positivity structure is just the sign vector."""
-    t1 = [sign(v[0]) for v in ns1.vectors]
-    t2 = [sign(v[0]) for v in ns2.vectors]
-    out = []
-    for images in permutations(ns2.labels):
-        perm = dict(zip(ns1.labels, images))
-        for eps in (1, -1):
-            mu = {i: eps * t1[i - 1] * t2[perm[i] - 1] for i in ns1.labels}
-            out.append(SignedBijection(perm, mu))
-    return sorted(set(out))
+def _candidates(chi1: Chirotope, chi2: Chirotope):
+    """Permutations that carry the contraction order of chi1 by every
+    (m-2)-subset onto the order of chi2 by its image, up to rotation and
+    reversal; every permutation when m = 1.
+
+    They are read off the alignments of the order of chi1 by the first
+    subset with the order of chi2 by each ordered image tuple, in both
+    directions and at every rotation.
+    """
+    labels, m = chi1.labels, chi1.rank
+    if m == 1:
+        for images in permutations(labels):
+            yield dict(zip(labels, images))
+        return
+    head, *others = combinations(labels, m - 2)
+    orders1 = {h: contraction_order(chi1, h) for h in others}
+    orders2 = {h: contraction_order(chi2, h) for h in [head, *others]}
+    nbrs2 = {h: _neighbours(order) for h, order in orders2.items()}
+    seed = contraction_order(chi1, head)
+    for images in permutations(labels, m - 2):
+        target = orders2[tuple(sorted(images))]
+        for seq in (target, target[::-1]):
+            for rot in range(len(seq)):
+                perm = dict(zip(head, images))
+                perm.update(zip(seed, seq[rot:] + seq[:rot]))
+                if all(
+                    _aligned(perm, orders1[h], nbrs2[tuple(sorted(perm[i] for i in h))])
+                    for h in others
+                ):
+                    yield perm
+
+
+def _solve_signs(
+    chi1: Chirotope, chi2: Chirotope, perm: Dict[int, int]
+) -> SignedBijection:
+    """The sign vector mu with mu(b0) = +1 that makes (perm, mu) a witness,
+    if any sign vector does.
+
+    With B the first base and B' the base B with b replaced by u in its
+    slot, a witness pulls chi2 back to eps * chi1 on both, so
+    mu(u) / mu(b) = chi1(B') chi2(pi B') chi1(B) chi2(pi B).  Exchanges at
+    b0 give mu outside B; exchanges with the first label u1 outside B give
+    the rest of B.
+    """
+    labels, base = chi1.labels, chi1.labels[: chi1.rank]
+    ref = chi1(base) * chi2([perm[i] for i in base])
+
+    def ratio(b: int, u: int) -> int:
+        swapped = [u if i == b else i for i in base]
+        return chi1(swapped) * chi2([perm[i] for i in swapped]) * ref
+
+    b0, outside = base[0], [u for u in labels if u not in base]
+    mu = {u: ratio(b0, u) for u in outside}
+    mu[b0] = 1
+    for b in base[1:]:
+        mu[b] = mu[outside[0]] * ratio(b, outside[0])
+    return SignedBijection(perm, mu)
 
 
 def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBijection]:
-    """All isomorphism witnesses, via cycle-invariant alignment.
+    """All isomorphism witnesses, read off the two chirotopes.
 
-    For m >= 3 candidate maps are seeded from a single projected line cycle
-    and checked against the complete cycle family, then verified by the
-    positive-combination criterion.  The cycles, the criterion and the
-    validity of the inputs all come from the two chirotopes.  Returns the
-    empty list exactly when the systems are not isomorphic.
+    Candidate permutations align the contraction orders of chi by
+    (m-2)-subsets (all permutations when m = 1), the signs are solved from
+    chi by single exchanges, and a candidate is kept iff it pulls chi2
+    back to +-chi1.  Validity of the inputs also comes from chi.  Returns
+    the empty list exactly when the systems are not isomorphic.
     """
     if ns1.m != ns2.m:
         raise ValueError("ambient dimensions differ")
     if ns1.n != ns2.n:
         raise ValueError("system sizes differ")
     chi1, chi2 = _valid_chirotope(ns1), _valid_chirotope(ns2)
-    m, n = ns1.m, ns1.n
-    if n <= m:
+    if ns1.n <= ns1.m:
         # no label lies outside a base, so every signed bijection works
         return sorted(all_signed_bijections(ns1.labels))
-    if m == 1:
-        return _line_isomorphisms(ns1, ns2)
-    if m == 2:
-        return _plane_isomorphisms(ns1, ns2)
-
-    inv1 = chirotope_cycles(chi1)
-    inv2 = chirotope_cycles(chi2)
-    k = m - 1
-    labels = ns1.labels
-    base_block = tuple(labels[: k - 2])
-    rest = [i for i in labels if i not in base_block]
-    j0 = rest[0]
-    seed_cycle = inv1[(base_block, j0, +1)]
-
     found = set()
-    for block_image in permutations(labels, k - 2):
-        others = [j for j in labels if j not in block_image]
-        key_block = tuple(sorted(block_image))
-        for j0_image in others:
-            for s0 in (1, -1):
-                tgt = inv2[(key_block, j0_image, s0)]
-                for rot in range(len(tgt)):
-                    rotated = tgt.labels[rot:] + tgt.labels[:rot]
-                    perm = dict(zip(seed_cycle.labels, rotated))
-                    perm[j0] = j0_image
-                    perm.update(dict(zip(base_block, block_image)))
-                    if len(set(perm.values())) != n:
-                        continue
-                    w = _complete_witness(perm, inv1, inv2, labels, k, base_block)
-                    # negating mu scales the pulled-back chirotope by
-                    # (-1)^m, so w and w.negate() pass or fail together
-                    if w is not None and pullback_sign(chi1, chi2, w):
-                        found.update((w, w.negate()))
+    for perm in _candidates(chi1, chi2):
+        w = _solve_signs(chi1, chi2, perm)
+        # negating mu scales the pulled-back chirotope by (-1)^m, so w and
+        # w.negate() pass or fail together
+        if pullback_sign(chi1, chi2, w):
+            found.update((w, w.negate()))
     return sorted(found)
-
-
-def _complete_witness(
-    perm: Dict[int, int],
-    inv1,
-    inv2,
-    labels: Sequence[int],
-    k: int,
-    base_block: Tuple[int, ...],
-) -> Optional[SignedBijection]:
-    """Solve for the sign vector given a full permutation candidate.
-
-    For block A and outside label j there must be a unique sign s with
-    conj(cycle1[A, j, +]) == cycle2[perm(A), perm(j), s]; the condition to
-    solve is mu(j) * eta_A = s, where eta_A is a free inversion per block
-    (the projection frame handedness is not transported by the bijection).
-    Fixing eta on the base block picks one of the pair (mu, -mu).
-    """
-    sigma: Dict[Tuple[Tuple[int, ...], int], int] = {}
-    blocks = list(combinations(labels, k - 2))
-    for block in blocks:
-        key2 = tuple(sorted(perm[i] for i in block))
-        for j in labels:
-            if j in block:
-                continue
-            image = inv1[(block, j, +1)].conjugate(perm)
-            # cycles at antipodal points are exact inverses, so a match
-            # against one sign key is a direct equality and is unique
-            if image == inv2[(key2, perm[j], +1)]:
-                sigma[(block, j)] = 1
-            elif image == inv2[(key2, perm[j], -1)]:
-                sigma[(block, j)] = -1
-            else:
-                return None
-    mu: Dict[int, int] = {}
-    for j in labels:
-        if j not in base_block:
-            mu[j] = sigma[(base_block, j)]
-    pending = [b for b in blocks if b != base_block]
-    while pending:
-        progressed = False
-        for block in list(pending):
-            anchor = next((j for j in mu if j not in block), None)
-            if anchor is None:
-                continue
-            eta = sigma[(block, anchor)] * mu[anchor]
-            for j in labels:
-                if j in block:
-                    continue
-                val = sigma[(block, j)] * eta
-                if mu.setdefault(j, val) != val:
-                    return None
-            pending.remove(block)
-            progressed = True
-        if not progressed:
-            return None
-    if len(mu) != len(labels):
-        return None
-    return SignedBijection(perm, mu)

@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import linalg
+from .chirotope import Chirotope
 from .field import FieldValue, parse_value, format_value, sign
 from .linalg import Matrix
 
@@ -57,17 +58,6 @@ class SpherePoint:
 
     def __repr__(self):
         return f"SpherePoint({[format_value(x) for x in self.rep]})"
-
-
-def independent(points: Sequence[SpherePoint]) -> bool:
-    """True iff the representatives span a space of full count."""
-    if not points:
-        raise ValueError("empty point list")
-    k1 = len(points[0].rep)
-    if len(points) > k1:
-        raise ValueError(f"at most {k1} points can be independent")
-    m = Matrix([p.rep for p in points])
-    return linalg.rank(m) == len(points)
 
 
 class PositiveCombination:
@@ -149,17 +139,22 @@ class AntipodalArrangement:
         """Check every min(k+1, n)-subset for independence.
 
         Returns (True, None) or (False, first violating label subset).
-        Equal or antipodal pairs show up as dependent 2-subsets.
+        Equal or antipodal pairs come first, as dependent 2-subsets; then
+        the first sorted (k+1)-subset on which the chirotope is zero, or
+        all labels when n < k+1 and they do not have full rank.
         """
-        labels = self.labels
-        for a, b in combinations(labels, 2):
-            if not independent([self.points[a], self.points[b]]):
+        if not self.points:
+            raise ValueError("empty point list")
+        pts = self.points
+        for a, b in combinations(self.labels, 2):
+            if pts[a] == pts[b] or pts[a] == -pts[b]:
                 return False, (a, b)
-        size = min(self.dim_k + 1, self.n)
-        for sub in combinations(labels, size):
-            if not independent([self.points[i] for i in sub]):
-                return False, sub
-        return True, None
+        if self.n < self.dim_k + 1:
+            if linalg.rank(Matrix([p.rep for p in pts.values()])) < self.n:
+                return False, self.labels
+            return True, None
+        bad = Chirotope(self.dim_k + 1, {i: p.rep for i, p in pts.items()}).zero()
+        return bad is None, bad
 
     def relabel(self, mapping: Dict[int, int]) -> "AntipodalArrangement":
         pts = {mapping[i]: p for i, p in self.points.items()}

@@ -89,12 +89,20 @@ def _region_feasible(ha, signs):
 
 
 def _region_bounded(ha, signs):
-    # bounded iff the recession cone {d : s_i a_i . d >= 0} is {0}; a
-    # nonzero direction can be scaled so some coordinate is +-1
+    # bounded iff the recession cone {d : s_i a_i . d >= 0} is {0}
     base = [
         fm.constraint([s * x for x in row], Fraction(0), False)
         for s, row in zip(signs, ha.coeffs)
     ]
+    if ha.n >= ha.m:
+        # the normals span F^m, so a nonzero d in the cone has some
+        # s_i a_i . d > 0, and then their sum is positive: one FM run
+        total = [
+            sum((s * row[j] for s, row in zip(signs, ha.coeffs)), Fraction(0))
+            for j in range(ha.m)
+        ]
+        return not fm.feasible(base + [fm.constraint(total, Fraction(0), True)], ha.m)
+    # a nonzero direction can be scaled so some coordinate is +-1
     for j in range(ha.m):
         for val in (1, -1):
             unit = [Fraction(0)] * ha.m

@@ -4,9 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from normsys import HyperplaneArrangement, load_fixture, predicted_counts
+from normsys import (
+    HyperplaneArrangement,
+    find_isomorphisms,
+    load_fixture,
+    oracle_isomorphisms,
+    predicted_counts,
+)
 from normsys.cli import main
-from conftest import random_arrangement
+from conftest import random_arrangement, random_normal_system, transformed_system
 
 
 @pytest.fixture
@@ -90,6 +96,36 @@ def test_regions_quadratic_field(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == (
         f"total={total} bounded={bounded} unbounded={unbounded} formula=OK"
     )
+
+
+def test_ns_iso_quadratic_field(tmp_path, capsys):
+    # end to end over Q(sqrt 5): planted pairs list the decider's witnesses
+    rng = random.Random(71)
+
+    def write(name, ns):
+        path = tmp_path / name
+        path.write_text(json.dumps(ns.to_json_dict()))
+        assert "sqrt(5)" in path.read_text()
+        return str(path)
+
+    for m, n in ((2, 6), (3, 6)):
+        a = random_normal_system(rng, m, n, 5)
+        b = transformed_system(rng, a, 5)
+        args = ["--format", "json", "ns-iso", write("a.json", a), write("b.json", b)]
+        assert main(args) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["isomorphic"]
+        assert data["witnesses"] == [
+            {
+                "pi": {str(i): w.perm[i] for i in w.labels},
+                "mu": {str(i): w.signs[i] for i in w.labels},
+            }
+            for w in find_isomorphisms(a, b)
+        ]
+    a, c = random_normal_system(rng, 3, 6, 5), random_normal_system(rng, 3, 6, 5)
+    assert oracle_isomorphisms(a, c) == []
+    assert main(["ns-iso", write("a.json", a), write("c.json", c)]) == 3
+    assert capsys.readouterr().out.startswith("non-isomorphic")
 
 
 def test_signs_output(files, capsys):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -72,15 +73,33 @@ def test_transformed_copies_are_isomorphic():
 
 
 def test_find_matches_oracle_small():
+    """Planted, random and self pairs over Q, Q(sqrt 2) and Q(sqrt 5), for
+    every m = 1..4 and n = 0..5, including n < m and n = m."""
     rng = random.Random(25)
-    for m, n in ((1, 3), (2, 4), (3, 4), (3, 5)):
-        a = random_normal_system(rng, m, n)
-        b = transformed_system(rng, a)
-        c = random_normal_system(rng, m, n)
-        for x, y in ((a, b), (a, c), (a, a)):
-            assert sorted(find_isomorphisms(x, y)) == sorted(
-                oracle_isomorphisms(x, y)
-            )
+    for d in (None, 2, 5):
+        for m in range(1, 5):
+            for n in range(6):
+                a = random_normal_system(rng, m, n, d)
+                b = transformed_system(rng, a, d)
+                c = random_normal_system(rng, m, n, d)
+                for x, y in ((a, b), (a, c), (a, a)):
+                    assert sorted(find_isomorphisms(x, y)) == sorted(
+                        oracle_isomorphisms(x, y)
+                    )
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+def test_rank_one_and_two_witness_counts(d):
+    """Past the oracle's n <= 7: any two systems in the plane are
+    isomorphic, with one witness per rotation and reflection of the 2n
+    signed vectors (4n), and any two on the line with 2 n! witnesses."""
+    rng = random.Random(50 if d is None else d)
+    for n in range(3, 13):
+        a, b = random_normal_system(rng, 2, n, d), random_normal_system(rng, 2, n, d)
+        assert len(find_isomorphisms(a, b)) == 4 * n
+    for n in range(1, 7):
+        a, b = random_normal_system(rng, 1, n, d), random_normal_system(rng, 1, n, d)
+        assert len(find_isomorphisms(a, b)) == 2 * factorial(n)
 
 
 def test_worked_examples_not_isomorphic():

@@ -72,6 +72,18 @@ def test_general_position_detects_dependence():
                 [frac(1), frac(1), frac(0)],
             ],
         )
+    # an antipodal pair is reported before any dependent triple
+    arr = AntipodalArrangement.from_vectors(
+        2,
+        [
+            [frac(1), frac(0), frac(0)],
+            [frac(0), frac(1), frac(0)],
+            [frac(1), frac(1), frac(0)],
+            [frac(0), frac(-2), frac(0)],
+        ],
+        check=False,
+    )
+    assert arr.general_position() == (False, (2, 4))
 
 
 def test_oriented_frame_orientation():
