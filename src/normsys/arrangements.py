@@ -19,15 +19,24 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import fm, linalg
 from .chirotope import Chirotope, pullback_sign
 from .field import FieldValue, format_value, parse_value, sign
+from .frozen import Frozen
 from .linalg import Matrix
 from .normal_systems import NormalSystem, find_isomorphisms
 from .symbols import SignedBijection
 
+_INVALID = "not a general-position hyperplane arrangement"
 
-class HyperplaneArrangement:
-    """n hyperplanes a_i . x = c_i in F^m, in general position."""
 
-    __slots__ = ("m", "coeffs", "constants")
+class HyperplaneArrangement(Frozen):
+    """n hyperplanes a_i . x = c_i in F^m, in general position.
+
+    Two chirotopes are built once, at construction: ``normals``, the
+    normal system of the a_i, carries chi_A, and ``homogenized`` is chi of
+    the rows (a_i | c_i), whose signs are the bordered determinants of
+    every (m+1)-subset.  Validation and every reader use them.
+    """
+
+    __slots__ = ("m", "coeffs", "constants", "normals", "homogenized")
 
     def __init__(
         self,
@@ -45,14 +54,18 @@ class HyperplaneArrangement:
         for i, r in enumerate(rows):
             if len(r) != m:
                 raise ValueError(f"row {i + 1} has length {len(r)}, expected {m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", rows)
-        object.__setattr__(self, "constants", cons)
-        if check and not self.is_valid():
-            raise ValueError("not a general-position hyperplane arrangement")
+        if m < 1:  # before NormalSystem, which has its own message for it
+            raise ValueError(_INVALID)
+        self._build(NormalSystem(m, rows, check=False), cons, check)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HyperplaneArrangement is immutable")
+    def _build(self, normals: NormalSystem, cons: tuple, check: bool):
+        rows = normals.vectors
+        hom = Chirotope(
+            normals.m + 1, {i: r + (c,) for i, (r, c) in enumerate(zip(rows, cons), 1)}
+        )
+        self._set(normals.m, rows, cons, normals, hom)
+        if check and not self.is_valid():
+            raise ValueError(_INVALID)
 
     @property
     def n(self) -> int:
@@ -73,11 +86,7 @@ class HyperplaneArrangement:
         # nonempty affine flat of the right dimension), and every m+1
         # hyperplanes miss a common point: no zero in the chirotope of the
         # homogenized rows
-        try:
-            ns = NormalSystem(self.m, self.coeffs, check=False)
-        except ValueError:
-            return False
-        return ns.is_valid() and _homogenized(self).zero() is None
+        return self.normals.is_valid() and self.homogenized.zero() is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,33 +105,32 @@ class HyperplaneArrangement:
         return f"HyperplaneArrangement(m={self.m}, n={self.n})"
 
 
-def _homogenized(ha: HyperplaneArrangement) -> Chirotope:
-    """Chirotope of the rows (a_i | c_i); its signs are the bordered
-    determinants of every (m+1)-subset."""
-    return Chirotope(
-        ha.m + 1, {i: ha.row(i) + (ha.constant(i),) for i in ha.labels}
-    )
-
-
-def _concurrency_free(ha: HyperplaneArrangement) -> Chirotope:
-    chi = _homogenized(ha)
-    bad = chi.zero()
-    if bad is not None:
-        raise ValueError(f"hyperplanes {bad} are concurrent")
-    return chi
+def _no_concurrency(*arrangements: HyperplaneArrangement):
+    """Raise on the first concurrent (m+1)-subset of any arrangement."""
+    for ha in arrangements:
+        bad = ha.homogenized.zero()
+        if bad is not None:
+            raise ValueError(f"hyperplanes {bad} are concurrent")
 
 
 def normal_system_of(ha: HyperplaneArrangement) -> NormalSystem:
-    return NormalSystem(ha.m, ha.coeffs)
+    return ha.normals._checked()
 
 
 def hyperplanes_from(
     ns: NormalSystem, constants: Sequence[FieldValue]
 ) -> HyperplaneArrangement:
-    return HyperplaneArrangement(ns.m, ns.vectors, constants)
+    """The arrangement a_i . x = c_i on the vectors of ns, which keeps
+    its chirotope."""
+    cons = tuple(Fraction(x) if isinstance(x, int) else x for x in constants)
+    if len(cons) != ns.n:
+        raise ValueError("one constant per hyperplane required")
+    ha = object.__new__(HyperplaneArrangement)
+    ha._build(ns, cons, True)
+    return ha
 
 
-class Region:
+class Region(Frozen):
     """An open region given by its sign vector, with exact boundedness."""
 
     __slots__ = ("signs", "bounded")
@@ -130,9 +138,6 @@ class Region:
     def __init__(self, signs: Sequence[int], bounded: bool):
         object.__setattr__(self, "signs", tuple(signs))
         object.__setattr__(self, "bounded", bounded)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Region is immutable")
 
     def __eq__(self, other):
         return (
@@ -157,8 +162,7 @@ def _vertex_sides(ha: HyperplaneArrangement):
     from the last column of the rows (a_i | c_i), i in B then h, leaves
     det(A_B) (c_h - a_h . v_B), so side = -chi_A(B) chi_hom(B, h).
     """
-    chi_a = Chirotope(ha.m, dict(zip(ha.labels, ha.coeffs)))
-    chi_hom = _homogenized(ha)
+    chi_a, chi_hom = ha.normals.chirotope, ha.homogenized
     return chi_a, lambda base, h: -chi_a(base) * chi_hom(tuple(base) + (h,))
 
 
@@ -241,7 +245,7 @@ def simplex_orientation_check(
         if not sign(lhs - ha.constant(i)) < 0:
             raise ValueError(f"normal {i} is not outward")
         verts.append(p)
-    return vertex_orientation(verts), _homogenized(ha)(ha.labels)
+    return vertex_orientation(verts), ha.homogenized(ha.labels)
 
 
 def is_simplex_polyhedrality(
@@ -261,7 +265,7 @@ def is_simplex_polyhedrality(
     return True
 
 
-class ConcurrencySignMap:
+class ConcurrencySignMap(Frozen):
     """Sign of the bordered determinant for every (m+1)-subset."""
 
     __slots__ = ("signs",)
@@ -270,9 +274,6 @@ class ConcurrencySignMap:
         if any(s not in (1, -1) for s in signs.values()):
             raise ValueError("sign map entries must be +-1")
         object.__setattr__(self, "signs", dict(sorted(signs.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConcurrencySignMap is immutable")
 
     def __getitem__(self, key: Tuple[int, ...]) -> int:
         return self.signs[tuple(key)]
@@ -301,7 +302,8 @@ def _bordered_det(
 
 
 def concurrency_sign_map(ha: HyperplaneArrangement) -> ConcurrencySignMap:
-    return ConcurrencySignMap(_concurrency_free(ha).signs)
+    _no_concurrency(ha)
+    return ConcurrencySignMap(ha.homogenized.signs)
 
 
 def induced_sign_map(
@@ -313,22 +315,20 @@ def induced_sign_map(
     the determinant with rows mu(i) * (a2_{pi(i)} | c2_{pi(i)}) in source
     order.
     """
-    chi = _concurrency_free(ha2)
+    _no_concurrency(ha2)
+    chi = ha2.homogenized
     return ConcurrencySignMap(
         {sub: chi.pullback(w, sub) for sub in combinations(sorted(w.labels), ha2.m + 1)}
     )
 
 
-class IsoResult:
+class IsoResult(Frozen):
     __slots__ = ("isomorphic", "witness", "branch")
 
     def __init__(self, isomorphic: bool, witness=None, branch: Optional[str] = None):
         object.__setattr__(self, "isomorphic", isomorphic)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "branch", branch)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IsoResult is immutable")
 
     def __repr__(self):
         if not self.isomorphic:
@@ -347,12 +347,10 @@ def arrangements_isomorphic(
     """
     if ha1.m != ha2.m or ha1.n != ha2.n:
         raise ValueError("arrangements must share n and m")
-    chi1, chi2 = _concurrency_free(ha1), _concurrency_free(ha2)
-    # find_isomorphisms validates the coefficient systems itself
-    ns1 = NormalSystem(ha1.m, ha1.coeffs, check=False)
-    ns2 = NormalSystem(ha2.m, ha2.coeffs, check=False)
-    for w in find_isomorphisms(ns1, ns2):
-        eps = pullback_sign(chi1, chi2, w)
+    _no_concurrency(ha1, ha2)
+    # find_isomorphisms validates the normal systems itself
+    for w in find_isomorphisms(ha1.normals, ha2.normals):
+        eps = pullback_sign(ha1.homogenized, ha2.homogenized, w)
         if eps:
             return IsoResult(True, w, "a" if eps > 0 else "b")
     return IsoResult(False)
@@ -434,7 +432,15 @@ def adjacent_cone_constants(
     ha: HyperplaneArrangement, facet: Sequence[int]
 ) -> tuple:
     """Constants vector in the cone across the facet's concurrency wall:
-    exactly the facet's sign flips, all other signs are preserved."""
+    exactly the facet's sign flips, all other signs are preserved.
+
+    The move runs along the wall's normal, the gradient of the facet's
+    bordered determinant in the constants, to halfway between this wall
+    and the next one on that ray.  It is not complete: when another wall
+    meets the ray first, it raises "no single-wall crossing in the normal
+    direction", although the facet is real and some other direction
+    crosses it alone.  The input must be a simplex polyhedrality.
+    """
     facet = tuple(sorted(facet))
     if not is_simplex_polyhedrality(ha, facet):
         raise ValueError("subset is not a simplex polyhedrality")

@@ -18,6 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import linalg
 from .field import FieldValue, QuadExt, sign
+from .frozen import Frozen
 from .linalg import Matrix
 
 
@@ -55,7 +56,7 @@ def _odd(seq: Sequence[int]) -> bool:
     return sum(a > b for a, b in combinations(seq, 2)) % 2 == 1
 
 
-class Chirotope:
+class Chirotope(Frozen):
     """Signs of the maximal minors of labelled vectors in F^rank.
 
     ``signs`` maps every sorted rank-subset of the labels to the sign of
@@ -79,9 +80,6 @@ class Chirotope:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "signs", signs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Chirotope is immutable")
 
     def __call__(self, seq: Sequence[int]) -> int:
         s = self.signs[tuple(sorted(seq))]

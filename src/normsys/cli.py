@@ -109,6 +109,12 @@ def _witness_dict(w) -> dict:
     }
 
 
+def _witness_text(w) -> str:
+    pi = " ".join(str(w.perm[i]) for i in w.labels)
+    mu = " ".join("+" if w.signs[i] > 0 else "-" for i in w.labels)
+    return f"pi=({pi}) mu=({mu})"
+
+
 def cmd_validate(args) -> int:
     # construction validates: an invalid object raises InvalidObject
     kind = {
@@ -152,10 +158,7 @@ def cmd_ns_iso(args) -> int:
         "witnesses": [_witness_dict(w) for w in witnesses],
     }
     lines = ["isomorphic" if iso else "non-isomorphic"]
-    for w in witnesses:
-        pi = " ".join(str(w.perm[i]) for i in w.labels)
-        mu = " ".join("+" if w.signs[i] > 0 else "-" for i in w.labels)
-        lines.append(f"pi=({pi}) mu=({mu})")
+    lines += [_witness_text(w) for w in witnesses]
     _emit(args, payload, lines)
     return EXIT_OK if iso else EXIT_NONISO
 
@@ -177,10 +180,7 @@ def cmd_ha_iso(args) -> int:
         if iso:
             payload["witness"] = _witness_dict(result.witness)
             payload["branch"] = result.branch
-            w = result.witness
-            pi = " ".join(str(w.perm[i]) for i in w.labels)
-            mu = " ".join("+" if w.signs[i] > 0 else "-" for i in w.labels)
-            lines.append(f"pi=({pi}) mu=({mu}) branch={result.branch}")
+            lines.append(f"{_witness_text(result.witness)} branch={result.branch}")
     _emit(args, payload, lines)
     return EXIT_OK if iso else EXIT_NONISO
 

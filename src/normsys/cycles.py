@@ -19,6 +19,7 @@ from typing import Dict, Sequence, Tuple
 
 from .chirotope import Chirotope
 from .field import sign
+from .frozen import Frozen
 from .sphere import (
     AntipodalArrangement,
     _frame_coordinates,
@@ -26,7 +27,7 @@ from .sphere import (
 )
 
 
-class LineCycle:
+class LineCycle(Frozen):
     """A cyclic permutation on a set of labels, in canonical rotation."""
 
     __slots__ = ("labels",)
@@ -39,9 +40,6 @@ class LineCycle:
             start = labels.index(min(labels))
             labels = labels[start:] + labels[:start]
         object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineCycle is immutable")
 
     def __len__(self):
         return len(self.labels)
@@ -115,16 +113,13 @@ def line_cycle(arr: AntipodalArrangement, label: int, positive: bool = True) -> 
 CycleKey = Tuple[Tuple[int, ...], int, int]  # (sorted projection subset, label, +-1)
 
 
-class CycleInvariantSet:
+class CycleInvariantSet(Frozen):
     """Complete family of line cycles keyed by (subset A, label j, sign)."""
 
     __slots__ = ("cycles",)
 
     def __init__(self, cycles: Dict[CycleKey, LineCycle]):
         object.__setattr__(self, "cycles", dict(sorted(cycles.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycleInvariantSet is immutable")
 
     def __getitem__(self, key: CycleKey) -> LineCycle:
         return self.cycles[key]
@@ -153,9 +148,7 @@ def all_cycle_invariants(arr: AntipodalArrangement) -> CycleInvariantSet:
         raise ValueError("cycle invariants need sphere dimension >= 2")
     if arr.n < k + 2:
         raise ValueError(f"need at least {k + 2} antipodal pairs")
-    return chirotope_cycles(
-        Chirotope(k + 1, {i: p.rep for i, p in arr.points.items()})
-    )
+    return chirotope_cycles(arr.chirotope)
 
 
 def contraction_order(chi: Chirotope, head: Sequence[int]) -> Tuple[int, ...]:

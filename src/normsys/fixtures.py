@@ -16,6 +16,7 @@ from typing import Dict, List, Tuple
 
 from .cycles import LineCycle, line_cycle
 from .field import parse_value
+from .frozen import Frozen
 from .normal_systems import NormalSystem
 from .sphere import AntipodalArrangement
 from .symbols import Symbol, compatible_symbols
@@ -43,16 +44,13 @@ VERIFIABLE_IDS = (
 )
 
 
-class PaperFixture:
+class PaperFixture(Frozen):
     __slots__ = ("id", "kind", "payload")
 
     def __init__(self, fixture_id: str, kind: str, payload):
         object.__setattr__(self, "id", fixture_id)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "payload", payload)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PaperFixture is immutable")
 
     def __repr__(self):
         return f"PaperFixture({self.id!r}, {self.kind!r})"
@@ -63,7 +61,7 @@ def _raw(fixture_id: str) -> dict:
     return json.loads(ref.read_text())
 
 
-class Equation:
+class Equation(Frozen):
     """Exact identity: sum of left terms == sum of right terms == vector."""
 
     __slots__ = ("left", "right", "vector")
@@ -72,9 +70,6 @@ class Equation:
         object.__setattr__(self, "left", tuple((int(c), int(i)) for c, i in left))
         object.__setattr__(self, "right", tuple((int(c), int(i)) for c, i in right))
         object.__setattr__(self, "vector", tuple(vector))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Equation is immutable")
 
     def holds_for(self, ns: NormalSystem) -> bool:
         def side(terms):
@@ -126,15 +121,12 @@ def _base_arrangement(fixture_id: str) -> AntipodalArrangement:
     return load_fixture("S4-standard").payload
 
 
-class FixtureReport:
+class FixtureReport(Frozen):
     __slots__ = ("id", "diffs")
 
     def __init__(self, fixture_id: str, diffs: List[str]):
         object.__setattr__(self, "id", fixture_id)
         object.__setattr__(self, "diffs", tuple(diffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FixtureReport is immutable")
 
     @property
     def ok(self) -> bool:

@@ -11,9 +11,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .field import FieldValue, sign
+from .frozen import Frozen
 
 
-class Matrix:
+class Matrix(Frozen):
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence[FieldValue]]):
@@ -27,9 +28,6 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", len(rows[0]) if rows else 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -209,7 +207,7 @@ def kernel_basis(m: Matrix) -> list:
     return basis
 
 
-class ProjectorPair:
+class ProjectorPair(Frozen):
     """Orthogonal projections onto a row span and its complement."""
 
     __slots__ = ("p", "q")
@@ -217,9 +215,6 @@ class ProjectorPair:
     def __init__(self, p: Matrix, q: Matrix):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectorPair is immutable")
 
 
 def projectors(span_rows: Matrix) -> ProjectorPair:

@@ -20,17 +20,20 @@ from . import linalg
 from .chirotope import Chirotope, pullback_sign
 from .cycles import contraction_order
 from .field import FieldValue, format_value, parse_value
+from .frozen import Frozen
 from .linalg import Matrix
-from .sphere import AntipodalArrangement
+from .sphere import AntipodalArrangement, SpherePoint
 from .symbols import SignedBijection, all_signed_bijections
 
-IsoWitness = SignedBijection
 
+class NormalSystem(Frozen):
+    """n indexed nonzero vectors in F^m, every <= m of them independent.
 
-class NormalSystem:
-    """n indexed nonzero vectors in F^m, every <= m of them independent."""
+    ``chirotope`` is built once, at construction; validity, the deciders
+    and the conversions read it.
+    """
 
-    __slots__ = ("m", "vectors")
+    __slots__ = ("m", "vectors", "chirotope")
 
     def __init__(self, m: int, vectors: Sequence[Sequence[FieldValue]], check: bool = True):
         vecs = tuple(
@@ -41,13 +44,9 @@ class NormalSystem:
         for i, v in enumerate(vecs):
             if len(v) != m:
                 raise ValueError(f"vector {i + 1} has length {len(v)}, expected {m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "vectors", vecs)
-        if check and not self.is_valid():
-            raise ValueError("not a normal system: dependent small subset")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NormalSystem is immutable")
+        self._set(m, vecs, Chirotope(m, dict(enumerate(vecs, 1))))
+        if check:
+            self._checked()
 
     @property
     def n(self) -> int:
@@ -64,17 +63,25 @@ class NormalSystem:
         # with n >= m every smaller subset lies in an independent m-subset
         if self.n < self.m:
             return linalg.rank(Matrix(self.vectors)) == self.n
-        return _chirotope(self).zero() is None
+        return self.chirotope.zero() is None
+
+    def _checked(self) -> "NormalSystem":
+        if not self.is_valid():
+            raise ValueError("not a normal system: dependent small subset")
+        return self
 
     def to_arrangement(self) -> AntipodalArrangement:
         """The antipodal arrangement view on the (m-1)-sphere."""
-        return AntipodalArrangement.from_vectors(self.m - 1, self.vectors, check=False)
+        # positive rescaling to canonical points leaves chi unchanged
+        points = {i: SpherePoint(v) for i, v in enumerate(self.vectors, 1)}
+        return AntipodalArrangement._of(self.m - 1, points, self.chirotope)
 
     @classmethod
     def from_arrangement(cls, arr: AntipodalArrangement) -> "NormalSystem":
         if arr.labels != tuple(range(1, arr.n + 1)):
             raise ValueError("arrangement labels must be 1..n")
-        return cls(arr.dim_k + 1, [arr.points[i].rep for i in arr.labels], check=False)
+        reps = tuple(p.rep for p in arr.points.values())
+        return cls._of(arr.dim_k + 1, reps, arr.chirotope)
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,21 +105,6 @@ class NormalSystem:
         return f"NormalSystem(m={self.m}, n={self.n})"
 
 
-def validate_normal_system(ns: NormalSystem) -> bool:
-    return ns.is_valid()
-
-
-def _chirotope(ns: NormalSystem) -> Chirotope:
-    return Chirotope(ns.m, dict(zip(ns.labels, ns.vectors)))
-
-
-def _valid_chirotope(ns: NormalSystem) -> Chirotope:
-    chi = _chirotope(ns)
-    if chi.zero() is not None or (ns.n < ns.m and not ns.is_valid()):
-        raise ValueError("inputs must be valid normal systems")
-    return chi
-
-
 def is_convex_positive_bijection(
     w: SignedBijection, ns1: NormalSystem, ns2: NormalSystem
 ) -> bool:
@@ -121,7 +113,7 @@ def is_convex_positive_bijection(
         raise ValueError("systems must share n and m")
     if set(w.labels) != set(ns1.labels):
         raise ValueError("witness labels do not match the systems")
-    return pullback_sign(_chirotope(ns1), _chirotope(ns2), w) != 0
+    return pullback_sign(ns1.chirotope, ns2.chirotope, w) != 0
 
 
 def oracle_isomorphisms(
@@ -134,7 +126,7 @@ def oracle_isomorphisms(
         raise ValueError("system sizes differ")
     if ns1.n > max_n:
         raise ValueError(f"oracle limited to n <= {max_n}")
-    chi1, chi2 = _chirotope(ns1), _chirotope(ns2)
+    chi1, chi2 = ns1.chirotope, ns2.chirotope
     out = [w for w in all_signed_bijections(ns1.labels) if pullback_sign(chi1, chi2, w)]
     return sorted(out)
 
@@ -224,7 +216,9 @@ def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBiject
         raise ValueError("ambient dimensions differ")
     if ns1.n != ns2.n:
         raise ValueError("system sizes differ")
-    chi1, chi2 = _valid_chirotope(ns1), _valid_chirotope(ns2)
+    if not (ns1.is_valid() and ns2.is_valid()):
+        raise ValueError("inputs must be valid normal systems")
+    chi1, chi2 = ns1.chirotope, ns2.chirotope
     if ns1.n <= ns1.m:
         # no label lies outside a base, so every signed bijection works
         return sorted(all_signed_bijections(ns1.labels))

@@ -15,10 +15,11 @@ from typing import Dict, Optional, Sequence, Tuple
 from . import linalg
 from .chirotope import Chirotope
 from .field import FieldValue, parse_value, format_value, sign
+from .frozen import Frozen
 from .linalg import Matrix
 
 
-class SpherePoint:
+class SpherePoint(Frozen):
     """Positive-scalar class of a nonzero vector, stored canonically.
 
     Canonical form: the first nonzero coordinate has absolute value 1 with
@@ -36,9 +37,6 @@ class SpherePoint:
         if scale != 1:
             v = tuple(x / scale for x in v)
         object.__setattr__(self, "rep", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpherePoint is immutable")
 
     @property
     def dim(self) -> int:
@@ -60,16 +58,13 @@ class SpherePoint:
         return f"SpherePoint({[format_value(x) for x in self.rep]})"
 
 
-class PositiveCombination:
+class PositiveCombination(Frozen):
     """Exact coefficients of a target over an independent basis."""
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence[FieldValue]):
         object.__setattr__(self, "coefficients", tuple(coefficients))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PositiveCombination is immutable")
 
     @property
     def signs(self) -> Tuple[int, ...]:
@@ -98,10 +93,14 @@ class ArrangementError(ValueError):
     pass
 
 
-class AntipodalArrangement:
-    """Indexed antipodal pairs on the k-sphere, in general position."""
+class AntipodalArrangement(Frozen):
+    """Indexed antipodal pairs on the k-sphere, in general position.
 
-    __slots__ = ("dim_k", "points")
+    ``chirotope``, of the point representatives, is built once at
+    construction; general position, cycles and symbols read it.
+    """
+
+    __slots__ = ("dim_k", "points", "chirotope")
 
     def __init__(self, dim_k: int, points: Dict[int, SpherePoint], check: bool = True):
         pts = dict(sorted(points.items()))
@@ -110,15 +109,13 @@ class AntipodalArrangement:
                 raise ArrangementError(
                     f"point {label} lives on a {p.dim}-sphere, expected {dim_k}"
                 )
-        object.__setattr__(self, "dim_k", dim_k)
-        object.__setattr__(self, "points", pts)
+        if not pts:  # then some point fixes dim_k >= 0, and chi has rank >= 1
+            raise ValueError("empty point list")
+        self._set(dim_k, pts, Chirotope(dim_k + 1, {i: p.rep for i, p in pts.items()}))
         if check:
             ok, bad = self.general_position()
             if not ok:
                 raise ArrangementError(f"degenerate subset {bad}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AntipodalArrangement is immutable")
 
     @classmethod
     def from_vectors(
@@ -153,7 +150,7 @@ class AntipodalArrangement:
             if linalg.rank(Matrix([p.rep for p in pts.values()])) < self.n:
                 return False, self.labels
             return True, None
-        bad = Chirotope(self.dim_k + 1, {i: p.rep for i, p in pts.items()}).zero()
+        bad = self.chirotope.zero()
         return bad is None, bad
 
     def relabel(self, mapping: Dict[int, int]) -> "AntipodalArrangement":

@@ -13,13 +13,14 @@ from itertools import permutations, product
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import linalg
-from .chirotope import Chirotope, pullback_sign
+from .chirotope import pullback_sign
 from .field import sign
+from .frozen import Frozen
 from .linalg import Matrix
 from .sphere import AntipodalArrangement, positive_combination
 
 
-class Symbol:
+class Symbol(Frozen):
     __slots__ = ("head", "triple")
 
     def __init__(self, head: int, triple: Sequence[int]):
@@ -31,9 +32,6 @@ class Symbol:
             raise ValueError(f"symbol needs four distinct lines: {head}->{triple}")
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "triple", triple)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Symbol is immutable")
 
     def __eq__(self, other):
         return (
@@ -159,7 +157,7 @@ def compatible_symbols(arr: AntipodalArrangement) -> frozenset:
     chi of the four points, negated once per antipodal label."""
     if arr.dim_k != 2 or arr.n != 4 or arr.labels != (1, 2, 3, 4):
         raise ValueError("expected a four-pair 2-sphere arrangement labeled 1..4")
-    chi = Chirotope(3, {i: p.rep for i, p in arr.points.items()})
+    chi = arr.chirotope
 
     def negative(seq) -> bool:
         return chi([abs(t) for t in seq]) * (-1) ** sum(t < 0 for t in seq) < 0
@@ -172,7 +170,7 @@ def compatible_symbols(arr: AntipodalArrangement) -> frozenset:
     )
 
 
-class SignedBijection:
+class SignedBijection(Frozen):
     """delta(P_i) = mu(i) * P'_{pi(i)} on an arbitrary label set."""
 
     __slots__ = ("perm", "signs")
@@ -186,9 +184,6 @@ class SignedBijection:
             raise ValueError("signs must be +-1")
         object.__setattr__(self, "perm", dict(sorted(perm.items())))
         object.__setattr__(self, "signs", dict(sorted(signs.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedBijection is immutable")
 
     @property
     def labels(self) -> Tuple[int, ...]:
@@ -284,7 +279,7 @@ def match_to_standard(cycle_map) -> List[SignedBijection]:
 
 def automorphisms(arr: AntipodalArrangement) -> List[SignedBijection]:
     """All convex positive bijections of a four-pair arrangement to itself."""
-    chi = Chirotope(arr.dim_k + 1, {i: p.rep for i, p in arr.points.items()})
+    chi = arr.chirotope
     return sorted(
         w for w in all_signed_bijections(arr.labels) if pullback_sign(chi, chi, w)
     )

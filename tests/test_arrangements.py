@@ -242,16 +242,25 @@ def test_cone_move_flips_exactly_one_sign():
     assert concurrency_sign_map(back) == s1
 
 
-def test_polyhedralities_match_cone_facets():
+def test_cone_facets_are_polyhedralities():
+    # every cone facet is a simplex polyhedrality; the converse fails
     rng = random.Random(46)
     for _ in range(3):
         ha = random_arrangement(rng, 2, 5)
-        polys = sorted(
+        polys = {
             sub
             for sub in combinations(ha.labels, ha.m + 1)
             if is_simplex_polyhedrality(ha, sub)
-        )
-        assert polys == cone_facets(ha)
+        }
+        assert set(cone_facets(ha)) <= polys
+    # (2, 4, 6) bounds a region, yet its concurrency wall is not a facet
+    ha = random_arrangement(random.Random(65), 2, 6)
+    polys = {
+        sub for sub in combinations(ha.labels, 3) if is_simplex_polyhedrality(ha, sub)
+    }
+    facets = set(cone_facets(ha))
+    assert facets < polys
+    assert polys - facets == {(2, 4, 6)}
 
 
 def test_infinity_arrangement_examples():

@@ -11,6 +11,7 @@ from normsys import (
     oracle_isomorphisms,
     predicted_counts,
 )
+from normsys.chirotope import Chirotope
 from normsys.cli import main
 from conftest import random_arrangement, random_normal_system, transformed_system
 
@@ -161,3 +162,28 @@ def test_verify_paper(capsys):
 def test_ha_iso_self(files, capsys):
     assert main(["ha-iso", files["ha"], files["ha"]]) == 0
     assert capsys.readouterr().out.startswith("isomorphic")
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["ns-iso", "U1", "U2"], 2),
+        (["ha-iso", "ha", "ha"], 4),
+        (["regions", "ha"], 2),
+        (["signs", "ha"], 2),
+        (["cycles", "U1"], 1),
+    ],
+)
+def test_chirotope_built_once_per_input(files, monkeypatch, argv, builds):
+    # one chi per normal system, two per hyperplane arrangement (normals
+    # and homogenized rows); no command rebuilds them
+    ranks = []
+    init = Chirotope.__init__
+
+    def counted(self, rank, vectors):
+        ranks.append(rank)
+        init(self, rank, vectors)
+
+    monkeypatch.setattr(Chirotope, "__init__", counted)
+    assert main([argv[0]] + [files[key] for key in argv[1:]]) in (0, 3)
+    assert len(ranks) == builds
