@@ -5,19 +5,20 @@ checks of simplices, concurrency sign maps and the sign-map isomorphism
 decision, single cone moves of the constants vector, and the
 hyperplane-at-infinity ordering search.  Regions, vertex sides and
 simplex polyhedralities are read off two chirotopes, of the normals and
-of the homogenized rows (a_i | c_i); Fourier-Motzkin elimination is used
-only for cone facets.
+of the homogenized rows (a_i | c_i).  Cone facets and cone moves are exact
+linear programs over the wall circuits of the normals.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import fm, linalg
-from .chirotope import Chirotope, pullback_sign
+from . import linalg
+from .chirotope import Chirotope, pullback_sign, scaled_minors
 from .field import FieldValue, format_value, parse_value, sign
 from .frozen import Frozen
 from .linalg import Matrix
@@ -293,14 +294,6 @@ class ConcurrencySignMap(Frozen):
         }
 
 
-def _bordered_det(
-    ha: HyperplaneArrangement, subset: Sequence[int], constants=None
-) -> FieldValue:
-    cons = ha.constants if constants is None else constants
-    rows = [list(ha.row(i)) + [cons[i - 1]] for i in subset]
-    return linalg.det(Matrix(rows))
-
-
 def concurrency_sign_map(ha: HyperplaneArrangement) -> ConcurrencySignMap:
     _no_concurrency(ha)
     return ConcurrencySignMap(ha.homogenized.signs)
@@ -417,15 +410,102 @@ def definition_oracle_isomorphic(
     return False
 
 
-def _gradient(ha: HyperplaneArrangement, subset: Tuple[int, ...]) -> list:
-    """Gradient of y -> det(rows (a_i | y_i), i in subset) as a vector over
-    all n constants (cofactors of the last column; zero off the subset)."""
-    g = [Fraction(0)] * ha.n
-    for i in subset:
-        unit = [Fraction(0)] * ha.n
-        unit[i - 1] = Fraction(1)
-        g[i - 1] = _bordered_det(ha, subset, constants=unit)
-    return g
+def _circuits(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], list]:
+    """The wall normal v_S of every (m+1)-subset S over the n constants,
+    up to a positive factor; the cone of c is {c : v_S . c > 0 for all S}.
+
+    v_S = chi_hom(S) g_S, where g_S[s] = (-1)^(j+m) det A_{S-s} for the j-th
+    label s of S (from 0), the cofactors of the last column of the rows
+    (a_i | c_i): a circuit of the normals.  For normals scaled by k_i > 0
+    (``scaled_minors``), k_s times the scaled cofactor is g_S[s] times the
+    product of the k_i over S.
+    """
+    _no_concurrency(ha)
+    m = ha.m
+    scale, minors = scaled_minors(m, dict(zip(ha.labels, ha.coeffs)))
+    walls = {}
+    for sub in combinations(ha.labels, m + 1):
+        v = [0] * ha.n
+        s = ha.homogenized.signs[sub] * (-1) ** m
+        for j, i in enumerate(sub):
+            v[i - 1] = (-s if j % 2 else s) * scale[i] * minors[sub[:j] + sub[j + 1 :]]
+        walls[sub] = v
+    return walls
+
+
+def _separate(columns: Sequence[list], target: list) -> Optional[list]:
+    """None if target is a nonnegative combination of the columns, else a
+    Farkas certificate z with target . z < 0 <= column . z for every column.
+
+    Phase 1 of the simplex method, Bland's rule: minimize sum a over
+    sum_j y_j col_j + a = target, y, a >= 0, rows negated where the target
+    is negative.  The tableau holds integers (or field values) over the
+    positive basis determinant d, so every pivot division is exact.  At a
+    positive optimum the duals are w_i = 1 - r_i, r_i the reduced cost of
+    artificial i, and z = -w on the original rows.
+    """
+    rows, k = len(target), len(columns)
+    ints = all(type(x) is int for col in (target, *columns) for x in col)
+    div = operator.floordiv if ints else operator.truediv
+    flips = [-1 if t < 0 else 1 for t in target]
+    tab = [
+        [f * col[i] for col in columns]
+        + [int(i == j) for j in range(rows)]
+        + [f * target[i]]
+        for i, f in enumerate(flips)
+    ]
+    obj = [-sum(r[j] for r in tab) for j in range(k)] + [0] * rows
+    obj.append(-sum(r[-1] for r in tab))
+    basis, d = list(range(k, k + rows)), 1
+    while obj[-1] != 0:
+        col = next((j for j in range(k + rows) if obj[j] < 0), None)
+        if col is None:
+            return [-f * (d - obj[k + i]) for i, f in enumerate(flips)]
+        best = None
+        for i, r in enumerate(tab):
+            if r[col] > 0:
+                if best is None:
+                    best = i
+                    continue
+                b = tab[best]
+                cmp = r[-1] * b[col] - b[-1] * r[col]
+                if cmp < 0 or (cmp == 0 and basis[i] < basis[best]):
+                    best = i
+        prow, p = tab[best], tab[best][col]
+        for r in tab + [obj]:
+            if r is not prow:
+                f = r[col]
+                r[:] = [div(x * p - f * y, d) for x, y in zip(r, prow)]
+        basis[best], d = col, p
+    return None
+
+
+def cone_facets(ha: HyperplaneArrangement) -> List[Tuple[int, ...]]:
+    """(m+1)-subsets whose concurrency wall is a facet of the open cone of
+    constants vectors with this concurrency sign map, by exact LP.
+
+    c lies in the cone {c : v_T . c > 0 for all T} (``_circuits``), so by
+    Farkas' lemma S is a facet iff v_S is not a nonnegative combination of
+    the other v_T.  The v_T lie in the left kernel of the normals, where
+    the coordinates off the base of the first m labels are injective: each
+    LP has n - m rows.
+
+    Only simplex polyhedralities are tested, against each other.  They
+    depend on chi_A and chi_hom only, which are constant on the cone.  Near
+    the relative interior of S's wall the hyperplanes of S meet close to
+    one point that no other hyperplane passes through, so the simplex of S
+    is a region: every facet is a polyhedrality.  The facets' v_T are the
+    extreme rays of the cone of all v_T, so the other polyhedralities
+    decide S as all walls would.
+    """
+    walls, m = _circuits(ha), ha.m
+    polys = [sub for sub in walls if is_simplex_polyhedrality(ha, sub)]
+    return [
+        sub
+        for sub in polys
+        if _separate([walls[t][m:] for t in polys if t != sub], walls[sub][m:])
+        is not None
+    ]
 
 
 def adjacent_cone_constants(
@@ -434,62 +514,22 @@ def adjacent_cone_constants(
     """Constants vector in the cone across the facet's concurrency wall:
     exactly the facet's sign flips, all other signs are preserved.
 
-    The move runs along the wall's normal, the gradient of the facet's
-    bordered determinant in the constants, to halfway between this wall
-    and the next one on that ray.  It is not complete: when another wall
-    meets the ray first, it raises "no single-wall crossing in the normal
-    direction", although the facet is real and some other direction
-    crosses it alone.  The input must be a simplex polyhedrality.
+    The LP of ``cone_facets`` against every other wall gives a certificate
+    z with v_S . z < 0 <= v_T . z for T != S, and c + 2 t0 z with
+    t0 = v_S . c / (-v_S . z) negates v_S . c and lowers no other v_T . c.
+    Raises ValueError("subset is not a cone facet") on any other subset.
     """
     facet = tuple(sorted(facet))
-    if not is_simplex_polyhedrality(ha, facet):
-        raise ValueError("subset is not a simplex polyhedrality")
-    g = _gradient(ha, facet)
-    val = _bordered_det(ha, facet)
-    if sign(val) < 0:
-        g = [-x for x in g]
-    # moving to c - lam*g decreases M_facet toward (and past) zero
-    gval = sum(gx * gx for gx in _gradient(ha, facet))
-    lam0 = abs(val) / gval
-    lam_max = None
-    for sub in combinations(ha.labels, ha.m + 1):
-        if sub == facet:
-            continue
-        mv = _bordered_det(ha, sub)
-        mg = sum(
-            gx * cx for gx, cx in zip(_gradient(ha, sub), g)
-        )
-        if sign(mg) == 0 or sign(mv) * sign(mg) < 0:
-            continue  # this wall is never reached moving in direction -g
-        lam_sub = abs(mv) / abs(mg)
-        if lam_max is None or lam_sub < lam_max:
-            lam_max = lam_sub
-    if lam_max is not None and not lam0 < lam_max:
-        raise ValueError("no single-wall crossing in the normal direction")
-    lam = lam0 * 2 if lam_max is None else (lam0 + lam_max) / 2
-    return tuple(c - lam * gx for c, gx in zip(ha.constants, g))
-
-
-def cone_facets(ha: HyperplaneArrangement) -> List[Tuple[int, ...]]:
-    """(m+1)-subsets whose concurrency wall is a facet of the cone of the
-    constants vector, by exact feasibility in the n constants variables."""
-    if ha.n > 7:
-        raise ValueError("cone facet search limited to n <= 7")
-    smap = concurrency_sign_map(ha)
-    grads = {
-        sub: _gradient(ha, sub) for sub in combinations(ha.labels, ha.m + 1)
-    }
-    out = []
-    for sub, g in grads.items():
-        cons = fm.equality_constraints(g, Fraction(0))
-        for other, go in grads.items():
-            if other == sub:
-                continue
-            s = smap[other]
-            cons.append(fm.constraint([s * x for x in go], Fraction(0), True))
-        if fm.feasible(cons, ha.n):
-            out.append(sub)
-    return sorted(out)
+    walls, m = _circuits(ha), ha.m
+    if facet not in walls:
+        raise ValueError("subset must be m + 1 distinct hyperplane labels")
+    v = walls[facet]
+    z = _separate([w[m:] for t, w in walls.items() if t != facet], v[m:])
+    if z is None:
+        raise ValueError("subset is not a cone facet")
+    z = [0] * m + z
+    t0 = sum(x * c for x, c in zip(v, ha.constants)) / -sum(x * y for x, y in zip(v, z))
+    return tuple(c + 2 * t0 * y for c, y in zip(ha.constants, z))
 
 
 def is_infinity_arrangement(

@@ -7,7 +7,8 @@ isomorphism witness test, validity and concurrency sign maps are read off χ.
 the parity of its sort.  Rational vectors are scaled to integers, each by
 the positive LCM of its denominators (no sign changes), and each minor is
 an integer Bareiss determinant; quadratic-extension input uses
-``linalg.det``.
+``linalg.det``.  The same minors, as values, give the wall circuits of
+``arrangements.cone_facets``.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ from math import lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import linalg
-from .field import FieldValue, QuadExt, sign
+from .field import FieldValue, QuadExt
 from .frozen import Frozen
 from .linalg import Matrix
-
-
-def _integer_vector(v: Sequence[FieldValue]) -> list:
-    scale = lcm(*(x.denominator for x in v))
-    return [x.numerator * (scale // x.denominator) for x in v]
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
@@ -51,6 +47,30 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     return sgn * a[n - 1][n - 1]
 
 
+def scaled_minors(
+    rank: int, vectors: Dict[int, Sequence[FieldValue]]
+) -> Tuple[Dict[int, int], Dict[Tuple[int, ...], FieldValue]]:
+    """A positive scale k_i per label and the determinant of the vectors
+    k_i v_i, i in base, for every sorted rank-subset base.
+
+    Rational vectors are scaled to integers, k_i the LCM of the
+    denominators of v_i, and each minor is an integer Bareiss determinant;
+    quadratic-extension input keeps k_i = 1 and uses ``linalg.det``.
+    """
+    if any(isinstance(x, QuadExt) for v in vectors.values() for x in v):
+        scale = dict.fromkeys(vectors, 1)
+        rows, det = vectors, lambda m: linalg.det(Matrix(m))
+    else:
+        scale = {i: lcm(*(x.denominator for x in v)) for i, v in vectors.items()}
+        rows = {
+            i: [x.numerator * (scale[i] // x.denominator) for x in v]
+            for i, v in vectors.items()
+        }
+        det = integer_det
+    bases = combinations(sorted(vectors), rank)
+    return scale, {base: det([rows[i] for i in base]) for base in bases}
+
+
 def _odd(seq: Sequence[int]) -> bool:
     """True iff sorting seq takes an odd number of transpositions."""
     return sum(a > b for a, b in combinations(seq, 2)) % 2 == 1
@@ -67,19 +87,9 @@ class Chirotope(Frozen):
     __slots__ = ("rank", "labels", "signs")
 
     def __init__(self, rank: int, vectors: Dict[int, Sequence[FieldValue]]):
-        labels = tuple(sorted(vectors))
-        signs: Dict[Tuple[int, ...], int] = {}
-        if any(isinstance(x, QuadExt) for v in vectors.values() for x in v):
-            for base in combinations(labels, rank):
-                signs[base] = sign(linalg.det(Matrix([vectors[i] for i in base])))
-        else:
-            ints = {i: _integer_vector(v) for i, v in vectors.items()}
-            for base in combinations(labels, rank):
-                d = integer_det([ints[i] for i in base])
-                signs[base] = (d > 0) - (d < 0)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "signs", signs)
+        _, minors = scaled_minors(rank, vectors)
+        signs = {base: (d > 0) - (d < 0) for base, d in minors.items()}
+        self._set(rank, tuple(sorted(vectors)), signs)
 
     def __call__(self, seq: Sequence[int]) -> int:
         s = self.signs[tuple(sorted(seq))]

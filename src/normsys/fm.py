@@ -1,5 +1,8 @@
-"""Exact linear-inequality feasibility by Fourier-Motzkin elimination, for
-``arrangements.cone_facets`` (and the tests' region oracle).
+"""Exact linear-inequality feasibility by Fourier-Motzkin elimination.
+
+The library no longer calls it: it is the tests' oracle for regions and
+cone facets.  It stays in the package because the benchmark tracer
+targets ``fm.feasible``.
 
 A constraint is (coeffs, rhs, strict) meaning coeffs . x > rhs when strict,
 else coeffs . x >= rhs.  Everything is exact field arithmetic; equalities

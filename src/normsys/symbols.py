@@ -10,14 +10,11 @@ the 384 formal symbols through four generator rules.
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from . import linalg
 from .chirotope import pullback_sign
-from .field import sign
 from .frozen import Frozen
-from .linalg import Matrix
-from .sphere import AntipodalArrangement, positive_combination
+from .sphere import AntipodalArrangement
 
 
 class Symbol(Frozen):
@@ -129,26 +126,6 @@ def all_orbits() -> List[frozenset]:
     return orbits
 
 
-def _signed_point(arr: AntipodalArrangement, label: int):
-    p = arr.points[abs(label)]
-    return p if label > 0 else p.antipode()
-
-
-def triple_determinant_sign(arr: AntipodalArrangement, triple: Sequence[int]) -> int:
-    m = Matrix([_signed_point(arr, t).rep for t in triple])
-    return sign(linalg.det(m))
-
-
-def is_compatible(arr: AntipodalArrangement, s: Symbol) -> bool:
-    """Head is a positive combination of the triple and the instantiated
-    triple is negatively oriented."""
-    basis = [_signed_point(arr, t) for t in s.triple]
-    comb = positive_combination(_signed_point(arr, s.head), basis)
-    if not comb.all_positive:
-        return False
-    return triple_determinant_sign(arr, s.triple) < 0
-
-
 def compatible_symbols(arr: AntipodalArrangement) -> frozenset:
     """The 24 compatible symbols of a four-pair arrangement on the 2-sphere.
 
@@ -226,14 +203,14 @@ class SignedBijection(Frozen):
         return cls({i: i for i in labels}, {i: 1 for i in labels})
 
 
-def all_signed_bijections(labels: Sequence[int]) -> List[SignedBijection]:
+def all_signed_bijections(labels: Sequence[int]) -> Iterator[SignedBijection]:
+    """Every signed bijection of the labels, one at a time: 2^n n! of them,
+    too many to hold at once beyond n = 6."""
     labels = list(labels)
-    out = []
     for images in permutations(labels):
         perm = dict(zip(labels, images))
         for sv in product((1, -1), repeat=len(labels)):
-            out.append(SignedBijection(perm, dict(zip(labels, sv))))
-    return out
+            yield SignedBijection(perm, dict(zip(labels, sv)))
 
 
 STANDARD_DICTIONARY: Dict[Tuple[int, int], Tuple[int, ...]] = {

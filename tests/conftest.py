@@ -13,6 +13,7 @@ from normsys import (
     NormalSystem,
     QuadExt,
     det,
+    positive_combination,
     sign,
 )
 from normsys.linalg import solve
@@ -142,3 +143,24 @@ def random_simplex_arrangement(rng: random.Random, m: int) -> HyperplaneArrangem
         ha = HyperplaneArrangement(m, coeffs, constants, check=False)
         if ha.is_valid():
             return ha
+
+
+def _signed_point(arr: AntipodalArrangement, label: int):
+    p = arr.points[abs(label)]
+    return p if label > 0 else p.antipode()
+
+
+def triple_determinant_sign(arr: AntipodalArrangement, triple) -> int:
+    """Sign of det of the three signed points, by ``det``."""
+    return sign(det(Matrix([_signed_point(arr, t).rep for t in triple])))
+
+
+def is_compatible(arr: AntipodalArrangement, s) -> bool:
+    """Reference for ``compatible_symbols``: the head is a positive
+    combination of the triple and the instantiated triple is negatively
+    oriented."""
+    basis = [_signed_point(arr, t) for t in s.triple]
+    comb = positive_combination(_signed_point(arr, s.head), basis)
+    if not comb.all_positive:
+        return False
+    return triple_determinant_sign(arr, s.triple) < 0

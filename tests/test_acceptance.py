@@ -40,7 +40,6 @@ from normsys import (
     standard_arrangement,
 )
 from normsys.linalg import projectors, rank
-from normsys.symbols import triple_determinant_sign
 from conftest import (
     random_arrangement,
     random_invertible,
@@ -48,6 +47,7 @@ from conftest import (
     random_simplex_arrangement,
     random_sphere_arrangement,
     transformed_system,
+    triple_determinant_sign,
     vertex_of,
 )
 

@@ -15,6 +15,7 @@ from normsys import (
     concurrency_sign_map,
     cone_facets,
     definition_oracle_isomorphic,
+    det,
     enumerate_regions,
     induced_sign_map,
     is_infinity_arrangement,
@@ -261,6 +262,108 @@ def test_cone_facets_are_polyhedralities():
     facets = set(cone_facets(ha))
     assert facets < polys
     assert polys - facets == {(2, 4, 6)}
+
+
+def _wall_normal(ha, subset):
+    """Gradient of c -> det(rows (a_i | c_i), i in subset): the cofactors of
+    the last column, one bordered determinant per label."""
+    g = [Fraction(0)] * ha.n
+    for i in subset:
+        rows = [list(ha.row(t)) + [Fraction(int(t == i))] for t in subset]
+        g[i - 1] = det(Matrix(rows))
+    return g
+
+
+def fm_facets(ha):
+    """Oracle: S is a facet iff {v_S . c = 0, v_T . c > 0 for T != S} is
+    feasible, by Fourier-Motzkin elimination.  Bordered determinants do
+    not change under c -> c + A x, and the first m rows of A are
+    independent, so c is taken zero on the first m labels; the equality is
+    solved for one more constant."""
+    smap, m = concurrency_sign_map(ha), ha.m
+    walls = {
+        sub: [smap[sub] * x for x in _wall_normal(ha, sub)[m:]]
+        for sub in combinations(ha.labels, m + 1)
+    }
+    out = []
+    for sub, v in walls.items():
+        i = next(j for j, x in enumerate(v) if x)
+        cons = [
+            fm.constraint(
+                [w[j] - w[i] * v[j] / v[i] for j in range(len(v)) if j != i],
+                Fraction(0),
+                True,
+            )
+            for other, w in walls.items()
+            if other != sub
+        ]
+        if fm.feasible(cons, len(v) - 1):
+            out.append(sub)
+    return out
+
+
+def rescaled(ha):
+    """The same hyperplanes, each equation divided by its own integer, so
+    the normals are no longer integer vectors."""
+    ks = [Fraction(1, 2 + i % 3) for i in range(ha.n)]
+    return HyperplaneArrangement(
+        ha.m,
+        [[k * x for x in r] for k, r in zip(ks, ha.coeffs)],
+        [k * c for k, c in zip(ks, ha.constants)],
+    )
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+def test_cone_facets_match_fm_oracle(d):
+    rng = random.Random(51 + (d or 0))
+    for m in (1, 2, 3):
+        for n in range(m + 1, 8 if d is None else 7):
+            ha = random_arrangement(rng, m, n, d)
+            if d is None:
+                ha = rescaled(ha)
+            assert cone_facets(ha) == fm_facets(ha), (m, n, d)
+
+
+def flipped(ha, facet):
+    """The walls whose sign changes under the cone move across facet."""
+    moved = HyperplaneArrangement(
+        ha.m, [list(r) for r in ha.coeffs], adjacent_cone_constants(ha, facet)
+    )
+    s1, s2 = concurrency_sign_map(ha), concurrency_sign_map(moved)
+    return [k for k, v in s1 if s2[k] != v]
+
+
+def test_cone_move_crosses_every_facet():
+    # moving along the wall's normal raised on (1, 3, 4) here, and on 31 of
+    # the 193 facets below, where another wall is met first on that ray
+    ha = random_arrangement(random.Random(1), 2, 5)
+    assert (1, 3, 4) in cone_facets(ha)
+    assert flipped(ha, (1, 3, 4)) == [(1, 3, 4)]
+    moved = 0
+    for seed in range(1000, 1060):
+        rng = random.Random(seed)
+        m = rng.randint(2, 3)
+        ha = random_arrangement(rng, m, rng.randint(m + 2, 6))
+        scaled = rescaled(ha)
+        assert cone_facets(scaled) == cone_facets(ha)
+        for facet in cone_facets(ha):
+            assert flipped(ha, facet) == [facet]
+            assert flipped(scaled, facet) == [facet]
+            moved += 1
+    assert moved == 193
+
+
+def test_cone_facets_at_ten_hyperplanes():
+    # 17 polyhedralities, 14 of them facets
+    ha = grown_arrangement(random.Random(64), 2, 10)
+    polys = {sub for sub in combinations(ha.labels, 3) if is_simplex_polyhedrality(ha, sub)}
+    facets = cone_facets(ha)
+    assert len(facets) == 14 and set(facets) < polys
+    for facet in facets:
+        assert flipped(ha, facet) == [facet]
+    for sub in polys - set(facets):
+        with pytest.raises(ValueError, match="not a cone facet"):
+            adjacent_cone_constants(ha, sub)
 
 
 def test_infinity_arrangement_examples():

@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 
@@ -16,8 +17,8 @@ from normsys import (
     orbit,
     standard_arrangement,
 )
-from normsys.symbols import act, act_word, all_signed_bijections, is_compatible
-from conftest import random_sphere_arrangement
+from normsys.symbols import act, act_word, all_signed_bijections
+from conftest import is_compatible, random_sphere_arrangement
 
 GENERATORS = ("12", "23", "34", "14")
 
@@ -85,13 +86,24 @@ def test_compatible_symbols_match_positive_combinations(d):
 
 
 def test_signed_bijections_count_and_group():
-    bs = all_signed_bijections((1, 2, 3))
+    bs = list(all_signed_bijections((1, 2, 3)))
     assert len(bs) == 48
     ident = SignedBijection.identity((1, 2, 3))
     assert any(b == ident for b in bs)
     b = bs[7]
     assert b.negate().negate() == b
     assert b.compose(SignedBijection.identity((1, 2, 3))) == b
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_signed_bijections_are_generated(n):
+    # yielded one at a time: the oracles walk 645,120 of them at n = 7
+    labels = tuple(range(1, n + 1))
+    gen = all_signed_bijections(labels)
+    assert iter(gen) is gen
+    items = list(gen)
+    assert len(items) == len(set(items)) == 2**n * factorial(n)
+    assert all(w.labels == labels for w in items)
 
 
 def test_automorphism_group_of_standard():
