@@ -3,26 +3,27 @@
 Covers validation, region enumeration with boundedness, orientation
 checks of simplices, concurrency sign maps and the sign-map isomorphism
 decision, single cone moves of the constants vector, and the
-hyperplane-at-infinity ordering search.  Regions, vertex sides and
-simplex polyhedralities are read off two chirotopes, of the normals and
-of the homogenized rows (a_i | c_i).  Cone facets and cone moves are exact
-linear programs over the wall circuits of the normals.
+hyperplane-at-infinity ordering search.  All but the cone LPs are read
+off one chirotope, of the lift: the rows (a_i | c_i) and e = (0, ..., 0, 1).
+Isomorphism is the normal-system decider on the lifts with e fixed.  Cone
+facets and moves are exact LPs over the wall circuits of the normals.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .chirotope import Chirotope, pullback_sign, scaled_minors
+from .chirotope import scaled_minors
 from .field import FieldValue, format_value, parse_value, sign
 from .frozen import Frozen
 from .linalg import Matrix
-from .normal_systems import NormalSystem, find_isomorphisms
+from .normal_systems import NormalSystem, _witnesses
 from .symbols import SignedBijection
 
 _INVALID = "not a general-position hyperplane arrangement"
@@ -31,13 +32,13 @@ _INVALID = "not a general-position hyperplane arrangement"
 class HyperplaneArrangement(Frozen):
     """n hyperplanes a_i . x = c_i in F^m, in general position.
 
-    Two chirotopes are built once, at construction: ``normals``, the
-    normal system of the a_i, carries chi_A, and ``homogenized`` is chi of
-    the rows (a_i | c_i), whose signs are the bordered determinants of
-    every (m+1)-subset.  Validation and every reader use them.
+    ``lift`` is the normal system in F^(m+1) of the rows (a_i | c_i) and
+    e = (0, ..., 0, 1), label n + 1.  Its chi, built once, gives
+    chi_A(B) = chi(B, e) (the contraction by e) and chi_hom(S) = chi(S)
+    (the deletion of e): for sorted B and S both are lookups in ``signs``.
     """
 
-    __slots__ = ("m", "coeffs", "constants", "normals", "homogenized")
+    __slots__ = ("m", "coeffs", "constants", "lift")
 
     def __init__(
         self,
@@ -57,14 +58,8 @@ class HyperplaneArrangement(Frozen):
                 raise ValueError(f"row {i + 1} has length {len(r)}, expected {m}")
         if m < 1:  # before NormalSystem, which has its own message for it
             raise ValueError(_INVALID)
-        self._build(NormalSystem(m, rows, check=False), cons, check)
-
-    def _build(self, normals: NormalSystem, cons: tuple, check: bool):
-        rows = normals.vectors
-        hom = Chirotope(
-            normals.m + 1, {i: r + (c,) for i, (r, c) in enumerate(zip(rows, cons), 1)}
-        )
-        self._set(normals.m, rows, cons, normals, hom)
+        lift = [r + (c,) for r, c in zip(rows, cons)] + [(0,) * m + (1,)]
+        self._set(m, rows, cons, NormalSystem(m + 1, lift, check=False))
         if check and not self.is_valid():
             raise ValueError(_INVALID)
 
@@ -83,11 +78,8 @@ class HyperplaneArrangement(Frozen):
         return self.constants[label - 1]
 
     def is_valid(self) -> bool:
-        # every <= m rows independent (then each such intersection is a
-        # nonempty affine flat of the right dimension), and every m+1
-        # hyperplanes miss a common point: no zero in the chirotope of the
-        # homogenized rows
-        return self.normals.is_valid() and self.homogenized.zero() is None
+        # bases with e: every <= m rows independent; without: no concurrency
+        return self.lift.is_valid()
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,29 +98,26 @@ class HyperplaneArrangement(Frozen):
         return f"HyperplaneArrangement(m={self.m}, n={self.n})"
 
 
-def _no_concurrency(*arrangements: HyperplaneArrangement):
-    """Raise on the first concurrent (m+1)-subset of any arrangement."""
-    for ha in arrangements:
-        bad = ha.homogenized.zero()
-        if bad is not None:
-            raise ValueError(f"hyperplanes {bad} are concurrent")
+def _concurrency_signs(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], int]:
+    """chi_hom, the lift's signs on the (m+1)-subsets without e; raises on
+    the first concurrent one."""
+    e = ha.n + 1
+    hom = {sub: s for sub, s in ha.lift.chirotope.signs.items() if sub[-1] != e}
+    bad = next((sub for sub, s in hom.items() if s == 0), None)
+    if bad is not None:
+        raise ValueError(f"hyperplanes {bad} are concurrent")
+    return hom
 
 
 def normal_system_of(ha: HyperplaneArrangement) -> NormalSystem:
-    return ha.normals._checked()
+    return NormalSystem(ha.m, ha.coeffs)
 
 
 def hyperplanes_from(
     ns: NormalSystem, constants: Sequence[FieldValue]
 ) -> HyperplaneArrangement:
-    """The arrangement a_i . x = c_i on the vectors of ns, which keeps
-    its chirotope."""
-    cons = tuple(Fraction(x) if isinstance(x, int) else x for x in constants)
-    if len(cons) != ns.n:
-        raise ValueError("one constant per hyperplane required")
-    ha = object.__new__(HyperplaneArrangement)
-    ha._build(ns, cons, True)
-    return ha
+    """The arrangement a_i . x = c_i on the vectors of ns."""
+    return HyperplaneArrangement(ns.m, ns.vectors, constants)
 
 
 class Region(Frozen):
@@ -157,14 +146,21 @@ class Region(Frozen):
         return f"Region({list(self.signs)}, bounded={self.bounded})"
 
 
+def _inserted(signs: dict, seq: Tuple[int, ...], h: int, tail: tuple = ()) -> int:
+    """chi(seq + (h,) + tail) for a sorted seq and a tail of labels above
+    every other: the sorted lookup, negated once per label of seq above h."""
+    k = bisect(seq, h)
+    s = signs[seq[:k] + (h,) + seq[k:] + tail]
+    return -s if (len(seq) - k) % 2 else s
+
+
 def _vertex_sides(ha: HyperplaneArrangement):
-    """chi_A of the normals and side(B, h) = sign(a_h . v_B - c_h) for the
-    vertex v_B of an m-subset B and a label h outside it: subtracting A_B v_B
-    from the last column of the rows (a_i | c_i), i in B then h, leaves
-    det(A_B) (c_h - a_h . v_B), so side = -chi_A(B) chi_hom(B, h).
-    """
-    chi_a, chi_hom = ha.normals.chirotope, ha.homogenized
-    return chi_a, lambda base, h: -chi_a(base) * chi_hom(tuple(base) + (h,))
+    """The lift's signs and side(B, h) = sign(a_h . v_B - c_h) for the
+    vertex v_B of a sorted m-subset B and a label h outside it: subtracting
+    A_B v_B from the last column of the rows (a_i | c_i), i in B then h,
+    leaves det(A_B) (c_h - a_h . v_B), so side = -chi(B, e) chi(B, h)."""
+    signs, e = ha.lift.chirotope.signs, (ha.n + 1,)
+    return signs, lambda base, h: -signs[base + e] * _inserted(signs, base, h)
 
 
 def _fills(free: Sequence[int], pattern: list) -> set:
@@ -189,12 +185,12 @@ def enumerate_regions(ha: HyperplaneArrangement) -> List[Region]:
     labels, m = ha.labels, ha.m
     if ha.n < m:
         return sorted(Region(s, False) for s in product((-1, 1), repeat=ha.n))
-    chi_a, side = _vertex_sides(ha)
+    (signs, side), e = _vertex_sides(ha), (ha.n + 1,)
     regions, unbounded = set(), set()
     for base in combinations(labels, m):
         regions |= _fills(base, [0 if h in base else side(base, h) for h in labels])
     for line in combinations(labels, m - 1):
-        ray = [0 if h in line else chi_a(line + (h,)) for h in labels]
+        ray = [0 if h in line else _inserted(signs, line, h, e) for h in labels]
         unbounded |= _fills(line, ray) | _fills(line, [-s for s in ray])
     return sorted(Region(s, s not in unbounded) for s in regions)
 
@@ -246,7 +242,7 @@ def simplex_orientation_check(
         if not sign(lhs - ha.constant(i)) < 0:
             raise ValueError(f"normal {i} is not outward")
         verts.append(p)
-    return vertex_orientation(verts), ha.homogenized(ha.labels)
+    return vertex_orientation(verts), ha.lift.chirotope.signs[ha.labels]
 
 
 def is_simplex_polyhedrality(
@@ -260,7 +256,7 @@ def is_simplex_polyhedrality(
     _, side = _vertex_sides(ha)
     for h in ha.labels:
         if h not in subset:
-            sides = {side([j for j in subset if j != i], h) for i in subset}
+            sides = {side(tuple(j for j in subset if j != i), h) for i in subset}
             if 0 in sides or len(sides) > 1:
                 return False
     return True
@@ -289,14 +285,11 @@ class ConcurrencySignMap(Frozen):
         return isinstance(other, ConcurrencySignMap) and self.signs == other.signs
 
     def to_json_dict(self) -> dict:
-        return {
-            ",".join(map(str, k)): v for k, v in self.signs.items()
-        }
+        return {",".join(map(str, k)): v for k, v in self.signs.items()}
 
 
 def concurrency_sign_map(ha: HyperplaneArrangement) -> ConcurrencySignMap:
-    _no_concurrency(ha)
-    return ConcurrencySignMap(ha.homogenized.signs)
+    return ConcurrencySignMap(_concurrency_signs(ha))
 
 
 def induced_sign_map(
@@ -308,8 +301,8 @@ def induced_sign_map(
     the determinant with rows mu(i) * (a2_{pi(i)} | c2_{pi(i)}) in source
     order.
     """
-    _no_concurrency(ha2)
-    chi = ha2.homogenized
+    _concurrency_signs(ha2)
+    chi = ha2.lift.chirotope
     return ConcurrencySignMap(
         {sub: chi.pullback(w, sub) for sub in combinations(sorted(w.labels), ha2.m + 1)}
     )
@@ -319,9 +312,7 @@ class IsoResult(Frozen):
     __slots__ = ("isomorphic", "witness", "branch")
 
     def __init__(self, isomorphic: bool, witness=None, branch: Optional[str] = None):
-        object.__setattr__(self, "isomorphic", isomorphic)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "branch", branch)
+        self._set(isomorphic, witness, branch)
 
     def __repr__(self):
         if not self.isomorphic:
@@ -336,17 +327,28 @@ def arrangements_isomorphic(
 
     A normal-system witness is accepted when the pulled-back sign map agrees
     with ha1's on every key (branch "a") or is negated on every key (branch
-    "b"); the alternative is global, not per key.
+    "b"); the alternative is global, not per key.  These are the lifts'
+    witnesses that fix e, restricted to 1..n (the sign of e absorbs the
+    branch).  The first sorted one is returned, its branch read off the
+    bases without e; with none (n <= m) every witness has branch "a".
     """
     if ha1.m != ha2.m or ha1.n != ha2.n:
         raise ValueError("arrangements must share n and m")
-    _no_concurrency(ha1, ha2)
-    # find_isomorphisms validates the normal systems itself
-    for w in find_isomorphisms(ha1.normals, ha2.normals):
-        eps = pullback_sign(ha1.homogenized, ha2.homogenized, w)
-        if eps:
-            return IsoResult(True, w, "a" if eps > 0 else "b")
-    return IsoResult(False)
+    _concurrency_signs(ha1), _concurrency_signs(ha2)
+    if not (ha1.is_valid() and ha2.is_valid()):
+        raise ValueError("inputs must be valid normal systems")
+    if ha1.n <= ha1.m:
+        return IsoResult(True, SignedBijection.identity(ha1.labels).negate(), "a")
+    chi1, chi2 = ha1.lift.chirotope, ha2.lift.chirotope
+    found = _witnesses(chi1, chi2, pin=ha1.n + 1)
+    if not found:
+        return IsoResult(False)
+    w, base = found[0], ha1.labels[: ha1.m + 1]
+    eps = chi1.signs[base] * chi2.pullback(w, base)
+    w = SignedBijection._of(
+        {i: w.perm[i] for i in ha1.labels}, {i: w.signs[i] for i in ha1.labels}
+    )
+    return IsoResult(True, w, "a" if eps > 0 else "b")
 
 
 def _line_vertex_order(
@@ -420,13 +422,12 @@ def _circuits(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], list]:
     (``scaled_minors``), k_s times the scaled cofactor is g_S[s] times the
     product of the k_i over S.
     """
-    _no_concurrency(ha)
-    m = ha.m
+    hom, m = _concurrency_signs(ha), ha.m
     scale, minors = scaled_minors(m, dict(zip(ha.labels, ha.coeffs)))
     walls = {}
-    for sub in combinations(ha.labels, m + 1):
+    for sub, s in hom.items():
         v = [0] * ha.n
-        s = ha.homogenized.signs[sub] * (-1) ** m
+        s *= (-1) ** m
         for j, i in enumerate(sub):
             v[i - 1] = (-s if j % 2 else s) * scale[i] * minors[sub[:j] + sub[j + 1 :]]
         walls[sub] = v

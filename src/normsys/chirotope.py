@@ -1,14 +1,14 @@
 """The chirotope χ of labelled vectors in F^r: the sign of the determinant
 of every r of them, in a given order (Björner, Las Vergnas, Sturmfels,
 White and Ziegler, *Oriented Matroids*, 1993, ch. 3).  Line cycles, the
-isomorphism witness test, validity and concurrency sign maps are read off χ.
+isomorphism witness test, validity and concurrency sign maps are read off χ;
+an arrangement's χ is that of its affine lift, the rows (aᵢ | cᵢ) and e.
 
 χ is computed once per sorted r-subset; a reordered subset is looked up by
-the parity of its sort.  Rational vectors are scaled to integers, each by
-the positive LCM of its denominators (no sign changes), and each minor is
-an integer Bareiss determinant; quadratic-extension input uses
-``linalg.det``.  The same minors, as values, give the wall circuits of
-``arrangements.cone_facets``.
+the parity of its sort.  Rational vectors are scaled to integers by the
+positive LCM of their denominators, and each minor is an integer Bareiss
+determinant; quadratic-extension input uses ``linalg.det``.  The same
+minors, as values, give the wall circuits of ``arrangements.cone_facets``.
 """
 
 from __future__ import annotations

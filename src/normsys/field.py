@@ -5,9 +5,9 @@ Two kinds of value are supported: arbitrary-precision rationals
 extension of the rationals.  Every computation works over one field at a
 time; quadratic-extension values with different radicands never mix.
 
-Positivity of a + b*sqrt(d) is decided exactly by a five-case rule that
-only compares rational quantities, so no numeric square roots are ever
-taken.
+The sign of a + b*sqrt(d) is decided exactly from the signs of a and b
+and, when they differ, a comparison of a^2 with b^2 d, so no numeric
+square roots are ever taken.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
+from .frozen import Frozen
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -39,8 +39,8 @@ def _is_square_free(d: int) -> bool:
     return True
 
 
-class QuadExt:
-    """a + b*sqrt(d) with rational a, b and square-free positive integer d."""
+class QuadExt(Frozen):
+    """a + b*sqrt(d), rational a, b, square-free d > 1; results are built by _of."""
 
     __slots__ = ("a", "b", "d")
 
@@ -48,12 +48,7 @@ class QuadExt:
         d = int(d)
         if d <= 1 or not _is_square_free(d):
             raise ValueError(f"radicand must be a square-free integer > 1, got {d}")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt values are immutable")
+        self._set(Fraction(a), Fraction(b), d)
 
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
@@ -63,25 +58,25 @@ class QuadExt:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
+            return QuadExt._of(Fraction(other), Fraction(0), self.d)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        return QuadExt._of(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._of(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QuadExt(self.a - o.a, self.b - o.b, self.d)
+        return QuadExt._of(self.a - o.a, self.b - o.b, self.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -93,7 +88,7 @@ class QuadExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QuadExt(
+        return QuadExt._of(
             self.a * o.a + self.b * o.b * self.d,
             self.a * o.b + self.b * o.a,
             self.d,
@@ -107,7 +102,7 @@ class QuadExt:
         norm = self.a * self.a - self.b * self.b * self.d
         if norm == 0:
             raise ZeroDivisionError("division by zero")
-        return QuadExt(self.a / norm, -self.b / norm, self.d)
+        return QuadExt._of(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -170,21 +165,13 @@ def sign(x: FieldValue) -> int:
         return (x > 0) - (x < 0)
     if not isinstance(x, QuadExt):
         raise TypeError(f"not a field value: {x!r}")
-    a, b, d = x.a, x.b, x.d
-    if a == 0 and b == 0:
-        return 0
-    # a + b√d > 0 in exactly these five cases.
-    if a > 0 and b > 0:
-        return 1
-    if a > 0 and b < 0 and a * a > b * b * d:
-        return 1
-    if a < 0 and b > 0 and b * b * d > a * a:
-        return 1
-    if a == 0 and b > 0:
-        return 1
-    if a > 0 and b == 0:
-        return 1
-    return -1
+    a, b = x.a, x.b
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    # opposite signs: the larger of a^2 and b^2 d decides; they differ, as d
+    # is not a rational square
+    return sa if a * a > b * b * x.d else sb
 
 
 def cmp_values(x: FieldValue, y: FieldValue) -> int:

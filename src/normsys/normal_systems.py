@@ -144,32 +144,38 @@ def _aligned(perm: Dict[int, int], order: Sequence[int], nbrs) -> bool:
     return all(perm[b] in nbrs[perm[a]] for a, b in zip(order, order[1:] + order[:1]))
 
 
-def _candidates(chi1: Chirotope, chi2: Chirotope):
+def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
     """Permutations that carry the contraction order of chi1 by every
     (m-2)-subset onto the order of chi2 by its image, up to rotation and
-    reversal; every permutation when m = 1.
+    reversal; every permutation when m = 1.  With a pin label (m >= 2),
+    only those that fix it.
 
-    They are read off the alignments of the order of chi1 by the first
-    subset with the order of chi2 by each ordered image tuple, in both
-    directions and at every rotation.
+    They align the order of chi1 by a head subset, the first that contains
+    the pin or else the first (empty at m = 2), with the order of chi2 by
+    each ordered image tuple that fixes the pin, both ways, every rotation.
     """
     labels, m = chi1.labels, chi1.rank
     if m == 1:
         for images in permutations(labels):
             yield dict(zip(labels, images))
         return
-    head, *others = combinations(labels, m - 2)
+    subsets = list(combinations(labels, m - 2))
+    head = next((h for h in subsets if pin in h), subsets[0])
+    others = [h for h in subsets if h != head]
     orders1 = {h: contraction_order(chi1, h) for h in others}
-    orders2 = {h: contraction_order(chi2, h) for h in [head, *others]}
+    orders2 = {h: contraction_order(chi2, h) for h in subsets}
     nbrs2 = {h: _neighbours(order) for h, order in orders2.items()}
     seed = contraction_order(chi1, head)
     for images in permutations(labels, m - 2):
+        start = dict(zip(head, images))
+        if start.get(pin, pin) != pin:
+            continue
         target = orders2[tuple(sorted(images))]
         for seq in (target, target[::-1]):
             for rot in range(len(seq)):
-                perm = dict(zip(head, images))
+                perm = dict(start)
                 perm.update(zip(seed, seq[rot:] + seq[:rot]))
-                if all(
+                if perm.get(pin, pin) == pin and all(
                     _aligned(perm, orders1[h], nbrs2[tuple(sorted(perm[i] for i in h))])
                     for h in others
                 ):
@@ -218,12 +224,17 @@ def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBiject
         raise ValueError("system sizes differ")
     if not (ns1.is_valid() and ns2.is_valid()):
         raise ValueError("inputs must be valid normal systems")
-    chi1, chi2 = ns1.chirotope, ns2.chirotope
     if ns1.n <= ns1.m:
         # no label lies outside a base, so every signed bijection works
         return sorted(all_signed_bijections(ns1.labels))
+    return _witnesses(ns1.chirotope, ns2.chirotope)
+
+
+def _witnesses(chi1: Chirotope, chi2: Chirotope, pin=None) -> List[SignedBijection]:
+    """Every witness between two uniform chirotopes with more labels than
+    their rank, sorted; with a pin label, every witness that fixes it."""
     found = set()
-    for perm in _candidates(chi1, chi2):
+    for perm in _candidates(chi1, chi2, pin):
         w = _solve_signs(chi1, chi2, perm)
         # negating mu scales the pulled-back chirotope by (-1)^m, so w and
         # w.negate() pass or fail together

@@ -205,12 +205,13 @@ class SignedBijection(Frozen):
 
 def all_signed_bijections(labels: Sequence[int]) -> Iterator[SignedBijection]:
     """Every signed bijection of the labels, one at a time: 2^n n! of them,
-    too many to hold at once beyond n = 6."""
-    labels = list(labels)
+    too many to hold at once beyond n = 6; from sorted labels, so each is
+    built sorted and valid."""
+    labels = sorted(labels)
     for images in permutations(labels):
         perm = dict(zip(labels, images))
         for sv in product((1, -1), repeat=len(labels)):
-            yield SignedBijection(perm, dict(zip(labels, sv)))
+            yield SignedBijection._of(perm, dict(zip(labels, sv)))
 
 
 STANDARD_DICTIONARY: Dict[Tuple[int, int], Tuple[int, ...]] = {

@@ -5,7 +5,9 @@ from itertools import combinations, product
 import pytest
 
 from normsys import (
+    ConcurrencySignMap,
     HyperplaneArrangement,
+    IsoResult,
     Matrix,
     Region,
     SignedBijection,
@@ -17,7 +19,9 @@ from normsys import (
     definition_oracle_isomorphic,
     det,
     enumerate_regions,
+    find_isomorphisms,
     induced_sign_map,
+    is_convex_positive_bijection,
     is_infinity_arrangement,
     is_simplex_polyhedrality,
     normal_system_of,
@@ -27,10 +31,12 @@ from normsys import (
     sign,
 )
 from normsys import fm
+from normsys.chirotope import Chirotope, pullback_sign
 from normsys.arrangements import _vertex_sides
 from conftest import (
     random_arrangement,
     random_invertible,
+    random_scalar,
     random_simplex_arrangement,
     vertex_of,
 )
@@ -211,6 +217,79 @@ def test_affine_image_isomorphic():
         assert res.isomorphic
         assert res.branch in ("a", "b")
         assert definition_oracle_isomorphic(ha, img)
+
+
+def reference_arrangements_isomorphic(ha1, ha2) -> IsoResult:
+    """The sign-map criterion as stated: the first normal-system witness,
+    in sorted order, that pulls chi of the rows (a_i | c_i) back to +-chi,
+    with branch "a" for + and "b" for -."""
+    hom1, hom2 = (
+        Chirotope(ha.m + 1, {i: ha.row(i) + (ha.constant(i),) for i in ha.labels})
+        for ha in (ha1, ha2)
+    )
+    for w in find_isomorphisms(normal_system_of(ha1), normal_system_of(ha2)):
+        eps = pullback_sign(hom1, hom2, w)
+        if eps:
+            return IsoResult(True, w, "a" if eps > 0 else "b")
+    return IsoResult(False)
+
+
+def planted(rng, ha, d=None):
+    """An isomorphic copy: an affine image, relabelled, with some
+    equations negated (the same hyperplane, the other side positive)."""
+    shift = [random_scalar(rng, d) for _ in range(ha.m)]
+    img = affine_image(ha, random_invertible(rng, ha.m, d), shift)
+    order = rng.sample(range(ha.n), ha.n)
+    flips = [rng.choice((1, -1)) for _ in order]
+    return HyperplaneArrangement(
+        ha.m,
+        [[f * x for x in img.coeffs[i]] for i, f in zip(order, flips)],
+        [f * img.constants[i] for i, f in zip(order, flips)],
+    )
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+def test_arrangements_isomorphic_matches_reference(d):
+    rng = random.Random(60 + (d or 0))
+    seen = set()
+    for m, n, _ in product((1, 2, 3), range(7), range(3)):
+        ha = random_arrangement(rng, m, n, d)
+        others = [planted(rng, ha, d), random_arrangement(rng, m, n, d)]
+        # one concurrency sign flipped: the nearest non-trivial pair
+        facets = cone_facets(ha)
+        if facets:
+            moved = adjacent_cone_constants(ha, facets[0])
+            others.append(planted(rng, HyperplaneArrangement(m, ha.coeffs, moved), d))
+        for other in others:
+            got = arrangements_isomorphic(ha, other)
+            want = reference_arrangements_isomorphic(ha, other)
+            assert (got.isomorphic, got.witness, got.branch) == (
+                want.isomorphic,
+                want.witness,
+                want.branch,
+            )
+            seen.add(got.branch)
+    assert seen == {"a", "b", None}
+
+
+def test_arrangements_isomorphic_on_twelve_points():
+    # m = 1: 2 * 12! normal-system witnesses, so only the pinned lift
+    # decides this pair in reasonable time
+    rng = random.Random(67)
+    points = rng.sample(range(-30, 30), 12)
+    signs = [rng.choice((1, -1)) for _ in points]
+    ha = HyperplaneArrangement(
+        1, [[Fraction(s)] for s in signs], [Fraction(s * p) for s, p in zip(signs, points)]
+    )
+    img = planted(rng, ha)
+    res = arrangements_isomorphic(ha, img)
+    assert res.isomorphic
+    assert is_convex_positive_bijection(
+        res.witness, normal_system_of(ha), normal_system_of(img)
+    )
+    smap = concurrency_sign_map(ha)
+    flipped = ConcurrencySignMap({k: -v for k, v in smap})
+    assert induced_sign_map(img, res.witness) == (smap if res.branch == "a" else flipped)
 
 
 def test_self_isomorphic():

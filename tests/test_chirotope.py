@@ -35,10 +35,11 @@ def check_sphere(arr: AntipodalArrangement):
 
 
 def check_hyperplanes(ha: HyperplaneArrangement):
-    check_system(ha.normals)
-    assert ha.normals.vectors == ha.coeffs
-    rows = {i: ha.row(i) + (ha.constant(i),) for i in ha.labels}
-    assert ha.homogenized.signs == Chirotope(ha.m + 1, rows).signs
+    # the lift: the rows (a_i | c_i), then e = (0, ..., 0, 1)
+    rows = tuple(ha.row(i) + (ha.constant(i),) for i in ha.labels)
+    assert ha.lift.vectors == rows + ((0,) * ha.m + (1,),)
+    assert ha.lift.m == ha.m + 1
+    check_system(ha.lift)
 
 
 # (m, n) with n < m, n = m and n > m, so n < m + 1 for arrangements too
@@ -62,10 +63,14 @@ def test_stored_chirotope_matches_a_fresh_build(d):
         ha = random_arrangement(rng, m, n, d)
         check_hyperplanes(ha)
         normals = normal_system_of(ha)
-        assert normals.chirotope is ha.normals.chirotope
+        assert normals.vectors == ha.coeffs
         check_system(normals)
+        # chi_A is the contraction of the lift's chi by e, the last label
+        e = ha.n + 1
+        contracted = {b[:-1]: s for b, s in ha.lift.chirotope.signs.items() if b[-1] == e}
+        assert normals.chirotope.signs == contracted
         rebuilt = hyperplanes_from(normals, ha.constants)
-        assert rebuilt.normals.chirotope is normals.chirotope
+        assert rebuilt.lift == ha.lift
         check_hyperplanes(rebuilt)
         shift = [random_scalar(rng, d) for _ in range(m)]
         check_hyperplanes(affine_image(ha, random_invertible(rng, m, d), shift))
@@ -91,7 +96,13 @@ def test_stored_chirotope_of_invalid_inputs():
     )
     assert not concurrent.is_valid()
     check_hyperplanes(concurrent)
-    assert concurrent.homogenized.zero() == (1, 2, 3)
+    assert concurrent.lift.chirotope.zero() == (1, 2, 3)
+    parallel_lines = HyperplaneArrangement(
+        2, [[one, 0], [2 * one, 0], [one, one]], [0, one, 0], check=False
+    )
+    assert not parallel_lines.is_valid()
+    check_hyperplanes(parallel_lines)
+    assert parallel_lines.lift.chirotope.zero() == (1, 2, 4)
     antipodal = AntipodalArrangement.from_vectors(
         1, [[one, 0], [-2 * one, 0], [one, one]], check=False
     )

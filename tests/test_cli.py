@@ -168,15 +168,15 @@ def test_ha_iso_self(files, capsys):
     "argv, builds",
     [
         (["ns-iso", "U1", "U2"], 2),
-        (["ha-iso", "ha", "ha"], 4),
-        (["regions", "ha"], 2),
-        (["signs", "ha"], 2),
+        (["ha-iso", "ha", "ha"], 2),
+        (["regions", "ha"], 1),
+        (["signs", "ha"], 1),
         (["cycles", "U1"], 1),
     ],
 )
 def test_chirotope_built_once_per_input(files, monkeypatch, argv, builds):
-    # one chi per normal system, two per hyperplane arrangement (normals
-    # and homogenized rows); no command rebuilds them
+    # one chi per normal system and one per hyperplane arrangement (its
+    # lift); no command rebuilds them
     ranks = []
     init = Chirotope.__init__
 

@@ -117,3 +117,38 @@ def test_parse_format_roundtrip():
 @given(rationals)
 def test_rational_roundtrip(x):
     assert parse_value(format_value(x)) == x
+
+
+@settings(max_examples=200)
+@given(rationals, rationals, rationals, rationals, st.sampled_from([2, 3, 5, 7]), rationals)
+def test_results_equal_validated_values(a, b, c, e, d, r):
+    # results skip the constructor's checks; each must equal the value the
+    # validating constructor builds from the same parts
+    x, y = QuadExt(a, b, d), QuadExt(c, e, d)
+    expected = [
+        (x + y, (a + c, b + e)),
+        (x - y, (a - c, b - e)),
+        (x * y, (a * c + b * e * d, a * e + b * c)),
+        (-x, (-a, -b)),
+        (x + r, (a + r, b)),
+        (r - x, (r - a, -b)),
+        (x * 3, (3 * a, 3 * b)),
+        (x / 3, (a / 3, b / 3)),
+    ]
+    if y:
+        norm = c * c - e * e * d
+        expected.append((y.inverse(), (c / norm, -e / norm)))
+    for got, (p, q) in expected:
+        assert type(got) is QuadExt and type(got.a) is type(got.b) is Fraction
+        assert (got.a, got.b, got.d) == (p, q, d)
+        assert got == QuadExt(p, q, d)
+    with pytest.raises(AttributeError):
+        x.a = Fraction(0)
+
+
+def test_bad_radicand_still_raises():
+    for d in (0, 1, 4, 12, 49, -3):
+        with pytest.raises(ValueError):
+            QuadExt(Fraction(1), Fraction(1), d)
+    with pytest.raises(ValueError):
+        parse_value("1+1*sqrt(8)")
