@@ -12,14 +12,13 @@ facets and moves are exact LPs over the wall circuits of the normals.
 from __future__ import annotations
 
 import operator
-from bisect import bisect
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .chirotope import scaled_minors
+from .chirotope import _inserted, scaled_minors
 from .field import FieldValue, format_value, parse_value, sign
 from .frozen import Frozen
 from .linalg import Matrix
@@ -144,14 +143,6 @@ class Region(Frozen):
 
     def __repr__(self):
         return f"Region({list(self.signs)}, bounded={self.bounded})"
-
-
-def _inserted(signs: dict, seq: Tuple[int, ...], h: int, tail: tuple = ()) -> int:
-    """chi(seq + (h,) + tail) for a sorted seq and a tail of labels above
-    every other: the sorted lookup, negated once per label of seq above h."""
-    k = bisect(seq, h)
-    s = signs[seq[:k] + (h,) + seq[k:] + tail]
-    return -s if (len(seq) - k) % 2 else s
 
 
 def _vertex_sides(ha: HyperplaneArrangement):

@@ -13,6 +13,7 @@ minors, as values, give the wall circuits of ``arrangements.cone_facets``.
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import combinations
 from math import lcm
 from typing import Dict, Optional, Sequence, Tuple
@@ -74,6 +75,14 @@ def scaled_minors(
 def _odd(seq: Sequence[int]) -> bool:
     """True iff sorting seq takes an odd number of transpositions."""
     return sum(a > b for a, b in combinations(seq, 2)) % 2 == 1
+
+
+def _inserted(signs: dict, seq: Tuple[int, ...], h: int, tail: tuple = ()) -> int:
+    """chi(seq + (h,) + tail) for a sorted seq and a tail of labels above
+    every other: the sorted lookup, negated once per label of seq above h."""
+    k = bisect(seq, h)
+    s = signs[seq[:k] + (h,) + seq[k:] + tail]
+    return -s if (len(seq) - k) % 2 else s
 
 
 class Chirotope(Frozen):

@@ -14,10 +14,11 @@ also aligns directly.
 from __future__ import annotations
 
 import functools
+from bisect import bisect
 from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
-from .chirotope import Chirotope
+from .chirotope import Chirotope, _inserted, _odd
 from .field import sign
 from .frozen import Frozen
 from .sphere import (
@@ -157,21 +158,25 @@ def contraction_order(chi: Chirotope, head: Sequence[int]) -> Tuple[int, ...]:
     The other labels q, r have orientation sign chi(head, q, r).  Folding
     every line into the half-plane that starts at the first other label q0
     and sorting by angle gives the order, starting at an arbitrary line.
-    The head may be empty, for a chirotope of rank 2.
+    The head may be empty, for a chirotope of rank 2.  Each sign is one
+    insertion into the sorted head: head + (q,) is sorted once per q, with
+    its parity, and r is inserted by ``_inserted``.
     """
-    head = tuple(head)
-    q0, *others = [q for q in chi.labels if q not in head]
-    fold = {q0: 1}
-    for r in others:
-        fold[r] = chi(head + (q0, r))
-    return tuple(
-        sorted(
-            fold,
-            key=functools.cmp_to_key(
-                lambda q, r: -fold[q] * fold[r] * chi(head + (q, r))
-            ),
-        )
-    )
+    ordered, par = tuple(sorted(head)), -1 if _odd(head) else 1
+    with_q = {}  # q: the sorted head with q inserted, and the sign of that sort
+    for q in chi.labels:
+        if q not in ordered:
+            k = bisect(ordered, q)
+            with_q[q] = ordered[:k] + (q,) + ordered[k:], par * (-1) ** len(ordered[k:])
+
+    def orient(q: int, r: int) -> int:
+        seq, s = with_q[q]
+        return s * _inserted(chi.signs, seq, r)
+
+    q0 = next(iter(with_q))
+    fold = {r: orient(q0, r) if r != q0 else 1 for r in with_q}
+    key = functools.cmp_to_key(lambda q, r: -fold[q] * fold[r] * orient(q, r))
+    return tuple(sorted(fold, key=key))
 
 
 def chirotope_cycles(chi: Chirotope) -> CycleInvariantSet:

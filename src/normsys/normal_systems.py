@@ -13,7 +13,7 @@ solves the signs from the chirotope and verifies the result against it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
@@ -150,9 +150,14 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
     reversal; every permutation when m = 1.  With a pin label (m >= 2),
     only those that fix it.
 
-    They align the order of chi1 by a head subset, the first that contains
-    the pin or else the first (empty at m = 2), with the order of chi2 by
-    each ordered image tuple that fixes the pin, both ways, every rotation.
+    The head is the first subset that contains the pin, or else the first
+    (empty at m = 2).  Its order (the seed) is aligned with the order of
+    chi2 by each image set S, both ways, every rotation, which maps all
+    labels but the head's.  Those are read off a probe, a fixed subset of
+    seed labels: its order holds the head and n - 2m + 4 seed labels
+    (anchors), and each alignment with its image's order that fits the
+    anchors (every one if none) names the head's images.  With
+    n < 2m - 4 there is no probe, and every ordering of S is tried.
     """
     labels, m = chi1.labels, chi1.rank
     if m == 1:
@@ -166,15 +171,34 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
     orders2 = {h: contraction_order(chi2, h) for h in subsets}
     nbrs2 = {h: _neighbours(order) for h, order in orders2.items()}
     seed = contraction_order(chi1, head)
-    for images in permutations(labels, m - 2):
-        start = dict(zip(head, images))
-        if start.get(pin, pin) != pin:
+    probe = tuple(sorted(seed[: m - 2])) if 0 < m - 2 <= len(seed) else None
+    if probe:
+        order = orders1[probe]
+        size, at = len(order), {q: i for i, q in enumerate(order)}
+        anchors = [i for i, q in enumerate(order) if q not in head]
+        pos2 = {h: {q: i for i, q in enumerate(o)} for h, o in orders2.items()}
+
+    def head_images(perm, image_set):
+        if not probe:
+            return permutations(image_set)
+        image = tuple(sorted(perm[q] for q in probe))
+        ring, where = orders2[image], pos2[image]
+        # the offset j that puts the first anchor on its image, or every j
+        return [
+            tuple(ring[(j + d * at[h]) % size] for h in head)
+            for d in (1, -1)
+            for j in [where[perm[order[i]]] - d * i for i in anchors[:1]] or range(size)
+            if all(ring[(j + d * i) % size] == perm[order[i]] for i in anchors)
+        ]
+
+    for image_set in subsets:
+        if (pin in image_set) != (pin in head):
             continue
-        target = orders2[tuple(sorted(images))]
-        for seq in (target, target[::-1]):
-            for rot in range(len(seq)):
-                perm = dict(start)
-                perm.update(zip(seed, seq[rot:] + seq[:rot]))
+        target = orders2[image_set]
+        for seq, rot in product((target, target[::-1]), range(len(target))):
+            aligned = dict(zip(seed, seq[rot:] + seq[:rot]))
+            for images in head_images(aligned, image_set):
+                perm = {**aligned, **dict(zip(head, images))}
                 if perm.get(pin, pin) == pin and all(
                     _aligned(perm, orders1[h], nbrs2[tuple(sorted(perm[i] for i in h))])
                     for h in others
@@ -240,4 +264,4 @@ def _witnesses(chi1: Chirotope, chi2: Chirotope, pin=None) -> List[SignedBijecti
         # w.negate() pass or fail together
         if pullback_sign(chi1, chi2, w):
             found.update((w, w.negate()))
-    return sorted(found)
+    return sorted(found, key=SignedBijection.key)

@@ -12,6 +12,7 @@ from normsys import (
     Matrix,
     NormalSystem,
     QuadExt,
+    affine_image,
     det,
     positive_combination,
     sign,
@@ -102,6 +103,22 @@ def transformed_system(rng: random.Random, ns: NormalSystem, d=None) -> NormalSy
         w = mat.apply(ns.vector(i))
         vecs[j - 1] = [mu * x for x in w]
     return NormalSystem(ns.m, vecs)
+
+
+def planted_arrangement(
+    rng: random.Random, ha: HyperplaneArrangement, d=None
+) -> HyperplaneArrangement:
+    """An isomorphic copy: an affine image, relabelled, with some
+    equations negated (the same hyperplane, the other side positive)."""
+    shift = [random_scalar(rng, d) for _ in range(ha.m)]
+    img = affine_image(ha, random_invertible(rng, ha.m, d), shift)
+    order = rng.sample(range(ha.n), ha.n)
+    flips = [rng.choice((1, -1)) for _ in order]
+    return HyperplaneArrangement(
+        ha.m,
+        [[f * x for x in img.coeffs[i]] for i, f in zip(order, flips)],
+        [f * img.constants[i] for i, f in zip(order, flips)],
+    )
 
 
 def vertex_of(ha: HyperplaneArrangement, subset) -> tuple:

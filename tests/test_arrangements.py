@@ -35,8 +35,8 @@ from normsys.chirotope import Chirotope, pullback_sign
 from normsys.arrangements import _vertex_sides
 from conftest import (
     random_arrangement,
+    planted_arrangement,
     random_invertible,
-    random_scalar,
     random_simplex_arrangement,
     vertex_of,
 )
@@ -234,32 +234,21 @@ def reference_arrangements_isomorphic(ha1, ha2) -> IsoResult:
     return IsoResult(False)
 
 
-def planted(rng, ha, d=None):
-    """An isomorphic copy: an affine image, relabelled, with some
-    equations negated (the same hyperplane, the other side positive)."""
-    shift = [random_scalar(rng, d) for _ in range(ha.m)]
-    img = affine_image(ha, random_invertible(rng, ha.m, d), shift)
-    order = rng.sample(range(ha.n), ha.n)
-    flips = [rng.choice((1, -1)) for _ in order]
-    return HyperplaneArrangement(
-        ha.m,
-        [[f * x for x in img.coeffs[i]] for i, f in zip(order, flips)],
-        [f * img.constants[i] for i, f in zip(order, flips)],
-    )
-
-
 @pytest.mark.parametrize("d", [None, 2, 5])
 def test_arrangements_isomorphic_matches_reference(d):
+    # at m = 4 the lift has rank 5: the pinned head has three labels, and
+    # n = 5 (no anchor) and n = 6 (one) read its images off the probe
     rng = random.Random(60 + (d or 0))
     seen = set()
-    for m, n, _ in product((1, 2, 3), range(7), range(3)):
+    for m, n, _ in product((1, 2, 3, 4), range(7), range(3)):
         ha = random_arrangement(rng, m, n, d)
-        others = [planted(rng, ha, d), random_arrangement(rng, m, n, d)]
+        others = [planted_arrangement(rng, ha, d), random_arrangement(rng, m, n, d)]
         # one concurrency sign flipped: the nearest non-trivial pair
         facets = cone_facets(ha)
         if facets:
             moved = adjacent_cone_constants(ha, facets[0])
-            others.append(planted(rng, HyperplaneArrangement(m, ha.coeffs, moved), d))
+            moved_ha = HyperplaneArrangement(m, ha.coeffs, moved)
+            others.append(planted_arrangement(rng, moved_ha, d))
         for other in others:
             got = arrangements_isomorphic(ha, other)
             want = reference_arrangements_isomorphic(ha, other)
@@ -281,7 +270,7 @@ def test_arrangements_isomorphic_on_twelve_points():
     ha = HyperplaneArrangement(
         1, [[Fraction(s)] for s in signs], [Fraction(s * p) for s, p in zip(signs, points)]
     )
-    img = planted(rng, ha)
+    img = planted_arrangement(rng, ha)
     res = arrangements_isomorphic(ha, img)
     assert res.isomorphic
     assert is_convex_positive_bijection(

@@ -3,19 +3,24 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normsys import (
     AntipodalArrangement,
     LineCycle,
+    NormalSystem,
+    QuadExt,
     SpherePoint,
     all_cycle_invariants,
     line_cycle,
     load_fixture,
     project_arrangement,
+    sign,
     standard_arrangement,
 )
 from normsys.symbols import STANDARD_DICTIONARY
-from conftest import random_sphere_arrangement
+from conftest import random_normal_system, random_sphere_arrangement
 
 
 def test_cycle_canonical_rotation():
@@ -114,3 +119,27 @@ def test_chirotope_cycles_match_projection(d):
                     for s in (1, -1):
                         expected[(subset, j, s)] = line_cycle(proj, j, positive=s > 0)
             assert all_cycle_invariants(arr).cycles == expected
+
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 5]),
+    st.sampled_from([(3, 5), (3, 6), (4, 6), (4, 7)]),
+    st.data(),
+)
+def test_cycles_invariant_under_positive_quadratic_rescaling(seed, d, shape, data):
+    """Rescaling each vector by a positive a + b sqrt(d) keeps every line
+    cycle: chi, and so every contraction order, is unchanged."""
+    m, n = shape
+    ns = random_normal_system(random.Random(seed), m, n, d)
+    nonzero = st.builds(QuadExt, small, small, st.just(d)).filter(lambda q: sign(q) != 0)
+    draws = data.draw(st.lists(nonzero, min_size=n, max_size=n))
+    factors = [q if sign(q) > 0 else -q for q in draws]
+    scaled = NormalSystem(m, [[c * x for x in v] for c, v in zip(factors, ns.vectors)])
+    assert all_cycle_invariants(scaled.to_arrangement()) == all_cycle_invariants(
+        ns.to_arrangement()
+    )

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -15,9 +15,17 @@ from normsys import (
     oracle_isomorphisms,
     positive_combination,
 )
+from normsys import normal_systems
 from normsys.chirotope import Chirotope, pullback_sign
+from normsys.cycles import contraction_order
+from normsys.normal_systems import _aligned, _neighbours, _witnesses
 from normsys.symbols import all_signed_bijections
-from conftest import random_normal_system, transformed_system
+from conftest import (
+    planted_arrangement,
+    random_arrangement,
+    random_normal_system,
+    transformed_system,
+)
 
 
 def frac(x):
@@ -84,6 +92,116 @@ def test_find_matches_oracle_small():
                     assert sorted(find_isomorphisms(x, y)) == sorted(
                         oracle_isomorphisms(x, y)
                     )
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+def test_find_matches_oracle_five_points_in_rank_five(d):
+    """At (5,6), n = 2m - 4: the probe's order holds only head labels."""
+    rng = random.Random(70 + (d or 0))
+    a = random_normal_system(rng, 5, 6, d)
+    for b in (transformed_system(rng, a, d), random_normal_system(rng, 5, 6, d), a):
+        assert find_isomorphisms(a, b) == oracle_isomorphisms(a, b)
+
+
+def test_find_matches_oracle_without_probe():
+    """At (6,7), n < 2m - 4: no probe, every ordering of the image set."""
+    rng = random.Random(76)
+    a = random_normal_system(rng, 6, 7)
+    b = transformed_system(rng, a)
+    assert find_isomorphisms(a, b) == oracle_isomorphisms(a, b)
+
+
+def reference_candidates(chi1, chi2, pin=None):
+    """The ordered-tuple generator: the head's contraction order is aligned
+    with the order of chi2 by every ordered image tuple of the head that
+    fixes the pin, both ways, every rotation, and a permutation is kept iff
+    it carries every other subset's order onto its image's order."""
+    labels, m = chi1.labels, chi1.rank
+    if m == 1:
+        for images in permutations(labels):
+            yield dict(zip(labels, images))
+        return
+    subsets = list(combinations(labels, m - 2))
+    head = next((h for h in subsets if pin in h), subsets[0])
+    others = [h for h in subsets if h != head]
+    orders1 = {h: contraction_order(chi1, h) for h in others}
+    orders2 = {h: contraction_order(chi2, h) for h in subsets}
+    nbrs2 = {h: _neighbours(order) for h, order in orders2.items()}
+    seed = contraction_order(chi1, head)
+    for images in permutations(labels, m - 2):
+        start = dict(zip(head, images))
+        if start.get(pin, pin) != pin:
+            continue
+        target = orders2[tuple(sorted(images))]
+        for seq in (target, target[::-1]):
+            for rot in range(len(seq)):
+                perm = dict(start)
+                perm.update(zip(seed, seq[rot:] + seq[:rot]))
+                if perm.get(pin, pin) == pin and all(
+                    _aligned(perm, orders1[h], nbrs2[tuple(sorted(perm[i] for i in h))])
+                    for h in others
+                ):
+                    yield perm
+
+
+def _branch(m, n):
+    """Which way ``_candidates`` finds the head's images at (m, n)."""
+    if m == 2:
+        return "empty-head"
+    if n < 2 * m - 4:
+        return "no-probe"
+    if n == 2 * m - 4:
+        return "zero-anchors"
+    return f"{n - 2 * m + 4}-anchors"
+
+
+def _both_generators(monkeypatch, chi1, chi2, pin=None):
+    got = _witnesses(chi1, chi2, pin)
+    with monkeypatch.context() as patch:
+        patch.setattr(normal_systems, "_candidates", reference_candidates)
+        want = _witnesses(chi1, chi2, pin)
+    return got, want
+
+
+DIFFERENTIAL_SHAPES = [(m, n, None) for m in range(2, 8) for n in range(m + 1, 10)] + [
+    (m, n, d) for d in (2, 5) for m, n in ((3, 5), (4, 6), (5, 6), (5, 7))
+]
+
+
+@pytest.mark.parametrize(
+    "m,n,d",
+    DIFFERENTIAL_SHAPES,
+    ids=[f"m{m}-n{n}-{_branch(m, n)}-{d or 'Q'}" for m, n, d in DIFFERENTIAL_SHAPES],
+)
+def test_witnesses_match_reference_candidates(monkeypatch, m, n, d):
+    """Planted, independent and self pairs: the same sorted witness list
+    from the deduced head images as from every ordered head tuple.  With
+    n = m + 1 any two systems are isomorphic, by all 2 n! signed
+    bijections that pull chi back to +-chi, so the planted pair is enough."""
+    rng = random.Random(100 * m + n + (d or 0))
+    a = random_normal_system(rng, m, n, d)
+    planted = transformed_system(rng, a, d)
+    pairs = [planted] if n == m + 1 else [planted, random_normal_system(rng, m, n, d), a]
+    for b in pairs:
+        got, want = _both_generators(monkeypatch, a.chirotope, b.chirotope)
+        assert got == want
+        assert got or b not in (planted, a)
+    if n == m + 1:
+        assert len(got) == 2 * factorial(n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pinned_witnesses_match_reference_candidates(monkeypatch, m):
+    """Lifts of arrangements with e = n + 1 pinned, as ``ha-iso`` runs them."""
+    rng = random.Random(80 + m)
+    for n in range(m + 1, 8):
+        ha = random_arrangement(rng, m, n)
+        planted = planted_arrangement(rng, ha)
+        for hb in (planted, random_arrangement(rng, m, n), ha):
+            chi1, chi2 = ha.lift.chirotope, hb.lift.chirotope
+            got, want = _both_generators(monkeypatch, chi1, chi2, pin=n + 1)
+            assert got == want
+            assert got or hb not in (planted, ha)
 
 
 @pytest.mark.parametrize("d", [None, 2, 5])
