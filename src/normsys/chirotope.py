@@ -5,9 +5,11 @@ isomorphism witness test, validity and concurrency sign maps are read off χ;
 an arrangement's χ is that of its affine lift, the rows (aᵢ | cᵢ) and e.
 
 χ is computed once per sorted r-subset; a reordered subset is looked up by
-the parity of its sort.  Rational vectors are scaled to integers by the
-positive LCM of their denominators, and each minor is an integer Bareiss
-determinant; quadratic-extension input uses ``linalg.det``.  The same
+the parity of its sort.  Every maximal minor comes from one division-free
+expansion along the columns: the minors of the first k columns over every
+k-subset of labels, each built from those of the first k - 1.  Rational
+vectors are first scaled to integers by the positive LCM of their
+denominators; quadratic-extension vectors are used as they are.  The same
 minors, as values, give the wall circuits of ``arrangements.cone_facets``.
 """
 
@@ -18,34 +20,8 @@ from itertools import combinations
 from math import lcm
 from typing import Dict, Optional, Sequence, Tuple
 
-from . import linalg
 from .field import FieldValue, QuadExt
 from .frozen import Frozen
-from .linalg import Matrix
-
-
-def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix by Bareiss elimination;
-    every division is exact."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sgn, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sgn = -sgn
-                    break
-            else:
-                return 0
-        rk, akk = a[k], a[k][k]
-        for i in range(k + 1, n):
-            ri, aik = a[i], a[i][k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * akk - aik * rk[j]) // prev
-        prev = akk
-    return sgn * a[n - 1][n - 1]
 
 
 def scaled_minors(
@@ -55,21 +31,31 @@ def scaled_minors(
     k_i v_i, i in base, for every sorted rank-subset base.
 
     Rational vectors are scaled to integers, k_i the LCM of the
-    denominators of v_i, and each minor is an integer Bareiss determinant;
-    quadratic-extension input keeps k_i = 1 and uses ``linalg.det``.
+    denominators of v_i; quadratic-extension input keeps k_i = 1.  The
+    minor of the first k columns over a sorted k-subset S is the sum over
+    t of (-1)^(k-1-t) x[S_t][k-1] times the minor of the first k - 1
+    columns over S without S_t: no division, no pivot and no row swap, so
+    integer rows stay integers and quadratic-extension rows need no
+    inverse.
     """
     if any(isinstance(x, QuadExt) for v in vectors.values() for x in v):
-        scale = dict.fromkeys(vectors, 1)
-        rows, det = vectors, lambda m: linalg.det(Matrix(m))
+        scale, rows = dict.fromkeys(vectors, 1), vectors
     else:
         scale = {i: lcm(*(x.denominator for x in v)) for i, v in vectors.items()}
         rows = {
             i: [x.numerator * (scale[i] // x.denominator) for x in v]
             for i, v in vectors.items()
         }
-        det = integer_det
-    bases = combinations(sorted(vectors), rank)
-    return scale, {base: det([rows[i] for i in base]) for base in bases}
+    labels, minors = sorted(rows), {(): 1}
+    for k in range(rank):
+        level = {}
+        for sub in combinations(labels, k + 1):
+            acc = 0  # ends as the alternating sum, + on the last term
+            for t, i in enumerate(sub):
+                acc = rows[i][k] * minors[sub[:t] + sub[t + 1 :]] - acc
+            level[sub] = acc
+        minors = level
+    return scale, minors
 
 
 def _odd(seq: Sequence[int]) -> bool:

@@ -128,7 +128,7 @@ def oracle_isomorphisms(
         raise ValueError(f"oracle limited to n <= {max_n}")
     chi1, chi2 = ns1.chirotope, ns2.chirotope
     out = [w for w in all_signed_bijections(ns1.labels) if pullback_sign(chi1, chi2, w)]
-    return sorted(out)
+    return sorted(out, key=SignedBijection.key)
 
 
 def _neighbours(order: Sequence[int]) -> Dict[int, Tuple[int, int]]:
@@ -250,7 +250,7 @@ def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBiject
         raise ValueError("inputs must be valid normal systems")
     if ns1.n <= ns1.m:
         # no label lies outside a base, so every signed bijection works
-        return sorted(all_signed_bijections(ns1.labels))
+        return sorted(all_signed_bijections(ns1.labels), key=SignedBijection.key)
     return _witnesses(ns1.chirotope, ns2.chirotope)
 
 

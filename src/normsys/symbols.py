@@ -252,12 +252,13 @@ def match_to_standard(cycle_map) -> List[SignedBijection]:
             matches.append(cand)
     if not matches:
         raise ValueError("cycles do not match any relabeling of the dictionary")
-    return sorted(matches)
+    return sorted(matches, key=SignedBijection.key)
 
 
 def automorphisms(arr: AntipodalArrangement) -> List[SignedBijection]:
     """All convex positive bijections of a four-pair arrangement to itself."""
     chi = arr.chirotope
     return sorted(
-        w for w in all_signed_bijections(arr.labels) if pullback_sign(chi, chi, w)
+        (w for w in all_signed_bijections(arr.labels) if pullback_sign(chi, chi, w)),
+        key=SignedBijection.key,
     )

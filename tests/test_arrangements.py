@@ -9,6 +9,7 @@ from normsys import (
     HyperplaneArrangement,
     IsoResult,
     Matrix,
+    QuadExt,
     Region,
     SignedBijection,
     adjacent_cone_constants,
@@ -139,13 +140,19 @@ def test_regions_match_fm_oracle(d):
             assert enumerate_regions(ha) == fm_regions(ha), (m, n, d)
 
 
-def grown_arrangement(rng, m, n):
+def grown_arrangement(rng, m, n, d=None):
     """General position built one hyperplane at a time; drawing all n at
-    once rarely succeeds beyond n = 10."""
+    once rarely succeeds beyond n = 10.  Integer entries, or a + b*sqrt(d)
+    with integers a, b."""
+    def entry():
+        if d is None:
+            return Fraction(rng.randint(-9, 9))
+        return QuadExt(rng.randint(-9, 9), rng.randint(-9, 9), d)
+
     coeffs, constants = [], []
     while len(coeffs) < n:
-        row = [Fraction(rng.randint(-9, 9)) for _ in range(m)]
-        c = Fraction(rng.randint(-9, 9))
+        row = [entry() for _ in range(m)]
+        c = entry()
         if HyperplaneArrangement(m, coeffs + [row], constants + [c], check=False).is_valid():
             coeffs.append(row)
             constants.append(c)
@@ -156,6 +163,26 @@ def test_region_counts_beyond_ten_hyperplanes():
     rng = random.Random(49)
     for m, n in ((2, 14), (3, 12)):
         assert region_counts(grown_arrangement(rng, m, n)) == predicted_counts(n, m)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_quadratic_region_counts_beyond_the_oracle(d):
+    # the FM oracle stops at n = 7; these sizes rest on the formula alone
+    rng = random.Random(70 + d)
+    for m, n in ((2, 10), (3, 9)):
+        ha = grown_arrangement(rng, m, n, d)
+        assert region_counts(ha) == predicted_counts(n, m)
+
+
+def test_planted_quadratic_arrangement_isomorphic():
+    rng = random.Random(77)
+    ha = grown_arrangement(rng, 3, 8, 5)
+    img = planted_arrangement(rng, ha, 5)
+    res = arrangements_isomorphic(ha, img)
+    assert res.isomorphic
+    assert is_convex_positive_bijection(
+        res.witness, normal_system_of(ha), normal_system_of(img)
+    )
 
 
 @pytest.mark.parametrize("d", [None, 2])

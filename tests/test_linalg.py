@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normsys import Matrix, det, kernel_basis, rank, sign
-from normsys.chirotope import Chirotope, integer_det
+from normsys import Matrix, det, kernel_basis, linalg, rank, sign
+from normsys.chirotope import Chirotope, scaled_minors
 from normsys.linalg import ProjectorPair, inverse, projectors, solve
+from conftest import random_normal_system, random_scalar
 
 entries = st.fractions(min_value=-20, max_value=20, max_denominator=5)
 
@@ -46,24 +48,48 @@ def test_det_transpose(a):
     assert det(a) == det(a.transpose())
 
 
-@settings(max_examples=100)
-@given(
-    st.integers(min_value=1, max_value=5).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-30, 30), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    )
-)
-def test_integer_bareiss_equals_det(rows):
-    assert integer_det(rows) == det(Matrix(rows))
+def test_scaled_minors_equal_det():
+    """Every minor of the expansion is Bareiss ``det`` of its base's
+    scaled rows, for r = 1..5 and n = r..r+3 over Q, Q(sqrt 2) and
+    Q(sqrt 5); a row that is a multiple of another makes every base that
+    holds both a zero minor, which ``Chirotope.zero`` finds."""
+    rng, dependent = random.Random(9), 0
+    for d, r in product((None, 2, 5), range(1, 6)):
+        for n in range(r, r + 4):
+            vectors = {
+                i: [random_scalar(rng, d) for _ in range(r)] for i in range(1, n + 1)
+            }
+            if n > 1 and rng.random() < 0.5:
+                i, j = rng.sample(sorted(vectors), 2)
+                c = random_scalar(rng, d)
+                vectors[j] = [c * x for x in vectors[i]]
+            scale, minors = scaled_minors(r, vectors)
+            assert list(minors) == list(combinations(sorted(vectors), r))
+            assert all(k > 0 for k in scale.values())
+            for base, value in minors.items():
+                rows = [[scale[i] * x for x in vectors[i]] for i in base]
+                assert value == det(Matrix(rows))
+            zeros = [base for base, value in minors.items() if value == 0]
+            assert Chirotope(r, vectors).zero() == (zeros[0] if zeros else None)
+            dependent += bool(zeros)
+    assert dependent >= 15
+
+
+def test_quadratic_chirotope_needs_no_det(monkeypatch):
+    """A Q(sqrt 5) chirotope is built without the generic determinant."""
+    def no_det(m):
+        raise AssertionError("linalg.det called")
+
+    ns = random_normal_system(random.Random(4), 3, 6, 5)
+    monkeypatch.setattr(linalg, "det", no_det)
+    chi = Chirotope(3, dict(enumerate(ns.vectors, 1)))
+    assert chi.signs == ns.chirotope.signs and chi.zero() is None
 
 
 @settings(max_examples=60)
 @given(square(4))
 def test_chirotope_sign_matches_det(a):
-    # rational rows are scaled to integers before the integer Bareiss path
+    # rational rows are scaled to integers before the expansion
     chi = Chirotope(4, dict(zip((1, 2, 3, 4), a.rows)))
     assert chi((1, 2, 3, 4)) == sign(det(a))
     assert chi((2, 1, 3, 4)) == chi((2, 3, 4, 1)) == -sign(det(a))
