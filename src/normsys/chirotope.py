@@ -3,6 +3,7 @@ of every r of them, in a given order (Björner, Las Vergnas, Sturmfels,
 White and Ziegler, *Oriented Matroids*, 1993, ch. 3).  Line cycles, the
 isomorphism witness test, validity and concurrency sign maps are read off χ;
 an arrangement's χ is that of its affine lift, the rows (aᵢ | cᵢ) and e.
+The dual χ*, of rank n − r, is read off χ's signs alone.
 
 χ is computed once per sorted r-subset; a reordered subset is looked up by
 the parity of its sort.  Every maximal minor comes from one division-free
@@ -93,6 +94,18 @@ class Chirotope(Frozen):
     def zero(self) -> Optional[Tuple[int, ...]]:
         """The first sorted subset whose vectors are dependent, or None."""
         return next((base for base, s in self.signs.items() if s == 0), None)
+
+    def dual(self) -> "Chirotope":
+        """The dual, of rank n - rank on the same labels (Björner et al.
+        1993, 3.4): chi*(T) = chi(T') sgn(T', T), T' the sorted complement
+        of T, sgn the parity of sorting T' + T; +-chi of the Gale transform."""
+        labels = self.labels
+        signs = {}
+        for rest in combinations(labels, len(labels) - self.rank):
+            comp = tuple(q for q in labels if q not in rest)
+            s = self.signs[comp]
+            signs[rest] = -s if _odd(comp + rest) else s
+        return Chirotope._of(len(labels) - self.rank, labels, signs)
 
     def pullback(self, w, base: Sequence[int]) -> int:
         """Sign of the determinant with rows mu(i) * v_pi(i), i in base in

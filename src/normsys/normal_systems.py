@@ -8,6 +8,8 @@ oracle over all signed bijections, and one search for every m that reads
 candidate permutations off the cyclic orders of lines in the rank-2
 contractions of the chirotope (the line cycles of the sphere arrangement),
 solves the signs from the chirotope and verifies the result against it.
+Isomorphism survives duality, so the search runs on the dual chirotope,
+of rank n - m, when that rank is lower.
 """
 
 from __future__ import annotations
@@ -146,48 +148,50 @@ def _aligned(perm: Dict[int, int], order: Sequence[int], nbrs) -> bool:
 
 def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
     """Permutations that carry the contraction order of chi1 by every
-    (m-2)-subset onto the order of chi2 by its image, up to rotation and
-    reversal; every permutation when m = 1.  With a pin label (m >= 2),
-    only those that fix it.
+    (r-2)-subset onto the order of chi2 by its image, up to rotation and
+    reversal, for chirotopes of rank r on n >= 2r labels; every
+    permutation when r = 1.  With a pin label, only those that fix it.
 
     The head is the first subset that contains the pin, or else the first
-    (empty at m = 2).  Its order (the seed) is aligned with the order of
+    (empty at r = 2).  Its order (the seed) is aligned with the order of
     chi2 by each image set S, both ways, every rotation, which maps all
-    labels but the head's.  Those are read off a probe, a fixed subset of
-    seed labels: its order holds the head and n - 2m + 4 seed labels
-    (anchors), and each alignment with its image's order that fits the
-    anchors (every one if none) names the head's images.  With
-    n < 2m - 4 there is no probe, and every ordering of S is tried.
+    labels but the head's.  Those are read off a probe, the sorted first
+    r - 2 seed labels: its order holds the head and n - 2r + 4 >= 4 seed
+    labels (anchors), and the alignment with its image's order that puts
+    the first anchor on its image, in each direction, names the head's
+    images if every other anchor fits too.
     """
-    labels, m = chi1.labels, chi1.rank
-    if m == 1:
+    labels, r = chi1.labels, chi1.rank
+    if r == 1:
         for images in permutations(labels):
-            yield dict(zip(labels, images))
+            perm = dict(zip(labels, images))
+            if perm.get(pin, pin) == pin:
+                yield perm
         return
-    subsets = list(combinations(labels, m - 2))
+    subsets = list(combinations(labels, r - 2))
     head = next((h for h in subsets if pin in h), subsets[0])
     others = [h for h in subsets if h != head]
     orders1 = {h: contraction_order(chi1, h) for h in others}
     orders2 = {h: contraction_order(chi2, h) for h in subsets}
     nbrs2 = {h: _neighbours(order) for h, order in orders2.items()}
     seed = contraction_order(chi1, head)
-    probe = tuple(sorted(seed[: m - 2])) if 0 < m - 2 <= len(seed) else None
-    if probe:
+    if head:
+        probe = tuple(sorted(seed[: r - 2]))
         order = orders1[probe]
         size, at = len(order), {q: i for i, q in enumerate(order)}
-        anchors = [i for i, q in enumerate(order) if q not in head]
+        first, *anchors = [i for i, q in enumerate(order) if q not in head]
         pos2 = {h: {q: i for i, q in enumerate(o)} for h, o in orders2.items()}
 
-    def head_images(perm, image_set):
-        if not probe:
-            return permutations(image_set)
+    def head_images(perm):
+        if not head:
+            return [()]
         image = tuple(sorted(perm[q] for q in probe))
         ring, where = orders2[image], pos2[image]
-        # the offset j that puts the first anchor on its image, or every j
+        # the offset j that puts the first anchor on its image
         return [
             tuple(ring[(j + d * at[h]) % size] for h in head)
             for d in (1, -1)
-            for j in [where[perm[order[i]]] - d * i for i in anchors[:1]] or range(size)
+            for j in [where[perm[order[first]]] - d * first]
             if all(ring[(j + d * i) % size] == perm[order[i]] for i in anchors)
         ]
 
@@ -197,7 +201,7 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
         target = orders2[image_set]
         for seq, rot in product((target, target[::-1]), range(len(target))):
             aligned = dict(zip(seed, seq[rot:] + seq[:rot]))
-            for images in head_images(aligned, image_set):
+            for images in head_images(aligned):
                 perm = {**aligned, **dict(zip(head, images))}
                 if perm.get(pin, pin) == pin and all(
                     _aligned(perm, orders1[h], nbrs2[tuple(sorted(perm[i] for i in h))])
@@ -236,11 +240,12 @@ def _solve_signs(
 def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBijection]:
     """All isomorphism witnesses, read off the two chirotopes.
 
-    Candidate permutations align the contraction orders of chi by
-    (m-2)-subsets (all permutations when m = 1), the signs are solved from
-    chi by single exchanges, and a candidate is kept iff it pulls chi2
-    back to +-chi1.  Validity of the inputs also comes from chi.  Returns
-    the empty list exactly when the systems are not isomorphic.
+    Candidate permutations align the contraction orders by (r-2)-subsets
+    of chi, or of its dual, whichever has the lower rank r (all
+    permutations when r = 1); the signs are solved from chi by single
+    exchanges, and a candidate is kept iff it pulls chi2 back to +-chi1.
+    Validity of the inputs also comes from chi.  Returns the empty list
+    exactly when the systems are not isomorphic.
     """
     if ns1.m != ns2.m:
         raise ValueError("ambient dimensions differ")
@@ -256,9 +261,22 @@ def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBiject
 
 def _witnesses(chi1: Chirotope, chi2: Chirotope, pin=None) -> List[SignedBijection]:
     """Every witness between two uniform chirotopes with more labels than
-    their rank, sorted; with a pin label, every witness that fixes it."""
+    their rank, sorted; with a pin label, every witness that fixes it.
+
+    chi2(pi B) mu(B) = eps chi1(B) on every base B gives chi2*(pi T) mu(T)
+    = eps sgn(pi) prod(mu) chi1*(T), so the duals have the same witness
+    permutations and are searched when their rank is lower; the signs are
+    solved and checked on chi1 and chi2 themselves.
+    """
+    lower = 2 * chi1.rank > len(chi1.labels)
+    searched = (chi1.dual(), chi2.dual()) if lower else (chi1, chi2)
+    return _accepted(chi1, chi2, _candidates(*searched, pin))
+
+
+def _accepted(chi1: Chirotope, chi2: Chirotope, candidates) -> List[SignedBijection]:
+    """The witnesses whose permutation is a candidate, sorted."""
     found = set()
-    for perm in _candidates(chi1, chi2, pin):
+    for perm in candidates:
         w = _solve_signs(chi1, chi2, perm)
         # negating mu scales the pulled-back chirotope by (-1)^m, so w and
         # w.negate() pass or fail together

@@ -12,6 +12,7 @@ from normsys import (
     Matrix,
     NormalSystem,
     QuadExt,
+    SignedBijection,
     affine_image,
     det,
     positive_combination,
@@ -90,19 +91,25 @@ def random_invertible(rng: random.Random, m: int, d=None) -> Matrix:
             return mat
 
 
-def transformed_system(rng: random.Random, ns: NormalSystem, d=None) -> NormalSystem:
-    """An isomorphic copy: relabel, flip signs, and apply an invertible
-    linear map (linear maps preserve all linear dependencies exactly)."""
+def planted_system(rng: random.Random, ns: NormalSystem, d=None):
+    """An isomorphic copy and the witness planted in it: relabel, flip
+    signs, and apply an invertible linear map (linear maps preserve all
+    linear dependencies exactly)."""
     mat = random_invertible(rng, ns.m, d)
     labels = list(ns.labels)
     images = labels[:]
     rng.shuffle(images)
-    vecs = [None] * ns.n
+    vecs, mu = [None] * ns.n, {}
     for i, j in zip(labels, images):
-        mu = rng.choice((1, -1))
+        mu[i] = rng.choice((1, -1))
         w = mat.apply(ns.vector(i))
-        vecs[j - 1] = [mu * x for x in w]
-    return NormalSystem(ns.m, vecs)
+        vecs[j - 1] = [mu[i] * x for x in w]
+    return NormalSystem(ns.m, vecs), SignedBijection(dict(zip(labels, images)), mu)
+
+
+def transformed_system(rng: random.Random, ns: NormalSystem, d=None) -> NormalSystem:
+    """An isomorphic copy, as ``planted_system`` makes it."""
+    return planted_system(rng, ns, d)[0]
 
 
 def planted_arrangement(

@@ -3,6 +3,7 @@ conversions hand it over; the stored chi must equal a fresh build."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from normsys import (
     normal_system_of,
 )
 from normsys.chirotope import Chirotope
+from normsys.linalg import Matrix, kernel_basis
 from conftest import (
     random_arrangement,
     random_invertible,
@@ -108,3 +110,30 @@ def test_stored_chirotope_of_invalid_inputs():
     )
     assert antipodal.general_position() == (False, (1, 2))
     check_sphere(antipodal)
+
+
+def up_to_sign(a: Chirotope, b: Chirotope) -> bool:
+    """True iff a = b or a = -b, as chirotopes on the same labels."""
+    negated = {base: -s for base, s in b.signs.items()}
+    return (a.rank, a.labels) == (b.rank, b.labels) and a.signs in (b.signs, negated)
+
+
+def gale_chirotope(ns: NormalSystem) -> Chirotope:
+    """chi of the Gale transform: label i gets the i-th entries of a basis
+    of the kernel of V^T, V the n x m matrix of the vectors."""
+    basis = kernel_basis(Matrix(ns.vectors).transpose())
+    return Chirotope(len(basis), {i: [k[i - 1] for k in basis] for i in ns.labels})
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+def test_dual_is_the_gale_transform(d):
+    """chi* = +-chi of the Gale transform and chi** = +-chi, for r = 1..5
+    and n = r + 1..r + 4; the dual's signs are in sorted order."""
+    rng = random.Random(61 + (d or 0))
+    for r in range(1, 6):
+        for n in range(r + 1, r + 5):
+            ns = random_normal_system(rng, r, n, d)
+            dual = ns.chirotope.dual()
+            assert list(dual.signs) == list(combinations(ns.labels, n - r))
+            assert up_to_sign(dual, gale_chirotope(ns))
+            assert up_to_sign(dual.dual(), ns.chirotope)

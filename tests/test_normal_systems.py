@@ -4,6 +4,8 @@ from itertools import combinations, permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normsys import (
     NormalSystem,
@@ -18,10 +20,17 @@ from normsys import (
 from normsys import normal_systems
 from normsys.chirotope import Chirotope, pullback_sign
 from normsys.cycles import contraction_order
-from normsys.normal_systems import _aligned, _neighbours, _witnesses
+from normsys.normal_systems import (
+    _accepted,
+    _aligned,
+    _candidates,
+    _neighbours,
+    _witnesses,
+)
 from normsys.symbols import all_signed_bijections
 from conftest import (
     planted_arrangement,
+    planted_system,
     random_arrangement,
     random_normal_system,
     transformed_system,
@@ -104,7 +113,8 @@ def test_find_matches_oracle_five_points_in_rank_five(d):
 
 
 def test_find_matches_oracle_without_probe():
-    """At (6,7), n < 2m - 4: no probe, every ordering of the image set."""
+    """At (6,7), where a rank-6 search would have no probe (n < 2m - 4),
+    the dual, of rank 1, is searched: every permutation is a candidate."""
     rng = random.Random(76)
     a = random_normal_system(rng, 6, 7)
     b = transformed_system(rng, a)
@@ -119,7 +129,9 @@ def reference_candidates(chi1, chi2, pin=None):
     labels, m = chi1.labels, chi1.rank
     if m == 1:
         for images in permutations(labels):
-            yield dict(zip(labels, images))
+            perm = dict(zip(labels, images))
+            if perm.get(pin, pin) == pin:
+                yield perm
         return
     subsets = list(combinations(labels, m - 2))
     head = next((h for h in subsets if pin in h), subsets[0])
@@ -145,7 +157,9 @@ def reference_candidates(chi1, chi2, pin=None):
 
 
 def _branch(m, n):
-    """Which way ``_candidates`` finds the head's images at (m, n)."""
+    """How a search at rank m finds the head's images at (m, n), which
+    names the shapes of the differential test; with 2m > n the search
+    runs at rank n - m instead, which ``_searched`` names."""
     if m == 2:
         return "empty-head"
     if n < 2 * m - 4:
@@ -175,7 +189,8 @@ DIFFERENTIAL_SHAPES = [(m, n, None) for m in range(2, 8) for n in range(m + 1, 1
 )
 def test_witnesses_match_reference_candidates(monkeypatch, m, n, d):
     """Planted, independent and self pairs: the same sorted witness list
-    from the deduced head images as from every ordered head tuple.  With
+    from the deduced head images as from every ordered head tuple, both
+    at the rank that is searched (n - m when 2m > n).  With
     n = m + 1 any two systems are isomorphic, by all 2 n! signed
     bijections that pull chi back to +-chi, so the planted pair is enough."""
     rng = random.Random(100 * m + n + (d or 0))
@@ -188,6 +203,85 @@ def test_witnesses_match_reference_candidates(monkeypatch, m, n, d):
         assert got or b not in (planted, a)
     if n == m + 1:
         assert len(got) == 2 * factorial(n)
+
+
+def _searched(m, n):
+    """The rank r = min(m, n - m) that ``_witnesses`` searches at (m, n),
+    and how ``_candidates`` finds the head's images there."""
+    r = min(m, n - m)
+    way = {1: "all-permutations", 2: "empty-head"}.get(r, f"{n - 2 * r + 4}-anchors")
+    return f"r{r}-{way}"
+
+
+def _primal_witnesses(chi1, chi2, pin=None):
+    """The search on chi1 and chi2 themselves, at their own rank, by the
+    ordered-tuple generator."""
+    return _accepted(chi1, chi2, reference_candidates(chi1, chi2, pin))
+
+
+DUAL_SHAPES = [(m, n, d) for m, n, d in DIFFERENTIAL_SHAPES if 2 * m > n]
+
+
+@pytest.mark.parametrize(
+    "m,n,d",
+    DUAL_SHAPES,
+    ids=[f"m{m}-n{n}-{_searched(m, n)}-{d or 'Q'}" for m, n, d in DUAL_SHAPES],
+)
+def test_dual_route_matches_the_primal_search(m, n, d):
+    """With 2m > n the candidates come from the duals, of rank n - m; the
+    search at rank m finds the same sorted witnesses on planted,
+    independent and self pairs, e.g. planted (6,8) and (7,9) pairs."""
+    rng = random.Random(200 * m + n + (d or 0))
+    a = random_normal_system(rng, m, n, d)
+    planted = transformed_system(rng, a, d)
+    pairs = [planted] if n == m + 1 else [planted, random_normal_system(rng, m, n, d), a]
+    for b in pairs:
+        got = _witnesses(a.chirotope, b.chirotope)
+        assert got == _primal_witnesses(a.chirotope, b.chirotope)
+        assert got or b not in (planted, a)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pinned_dual_route_matches_the_primal_search(m):
+    """Lifts of rank m + 1 on n + 1 labels with e pinned, for every n with
+    2(m + 1) > n + 1: the dual route, of rank n - m, finds the same sorted
+    witnesses as the search at rank m + 1."""
+    rng = random.Random(180 + m)
+    for n in range(m + 1, 2 * m + 1):
+        ha = random_arrangement(rng, m, n)
+        planted = planted_arrangement(rng, ha)
+        for hb in (planted, random_arrangement(rng, m, n), ha):
+            chi1, chi2 = ha.lift.chirotope, hb.lift.chirotope
+            got = _witnesses(chi1, chi2, pin=n + 1)
+            assert got == _primal_witnesses(chi1, chi2, pin=n + 1)
+            assert got or hb not in (planted, ha)
+
+
+def test_rank_one_candidates_fix_the_pin():
+    """The dual of a lift with n = m + 1 has rank 1, so the rank-1
+    candidates must fix a pin too: (n - 1)! of the n! permutations."""
+    chi = random_normal_system(random.Random(9), 1, 4).chirotope
+    perms = list(_candidates(chi, chi, pin=4))
+    assert len(perms) == factorial(3)
+    assert all(perm[4] == 4 for perm in perms)
+    assert len(list(_candidates(chi, chi))) == factorial(4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 5]),
+    st.sampled_from([(2, 5), (3, 6), (3, 7), (4, 8), (3, 5), (4, 6), (4, 7), (5, 7), (5, 8)]),
+)
+def test_quadratic_planted_witness_is_found(seed, d, shape):
+    """Isomorphism survives a linear map with a + b sqrt(d) entries: the
+    planted witness is among those found, whether rank m (2m <= n) or the
+    dual's rank n - m (2m > n) is searched."""
+    m, n = shape
+    rng = random.Random(seed)
+    a = random_normal_system(rng, m, n, d)
+    b, planted = planted_system(rng, a, d)
+    assert planted in find_isomorphisms(a, b)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
