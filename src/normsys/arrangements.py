@@ -562,10 +562,9 @@ def affine_image(
     """The arrangement of the images of the hyperplanes under x -> M x + t."""
     if sign(linalg.det(mat)) == 0:
         raise ValueError("affine map must be invertible")
-    inv = linalg.inverse(mat)
     coeffs, constants = [], []
     for row, c in zip(ha.coeffs, ha.constants):
-        new_row = inv.transpose().apply(row)  # a M^{-1} as a row vector
+        new_row = linalg.solve(mat.transpose(), row)  # a M^{-1} as a row vector
         coeffs.append(list(new_row))
         constants.append(c + sum(x * t for x, t in zip(new_row, shift)))
     return HyperplaneArrangement(ha.m, coeffs, constants)

@@ -2,8 +2,8 @@
 
 Subcommands: validate | cycles | ns-iso | ha-iso | regions | signs |
 symbols | verify-paper.  Verdicts go to stdout, diagnostics to stderr.
-Exit codes: 0 success / isomorphic, 1 usage or parse error, 2 invalid
-object, 3 non-isomorphic verdict.
+Exit codes: 0 success / isomorphic, 1 usage or parse error (an unwritable
+``--output`` path included), 2 invalid object, 3 non-isomorphic verdict.
 """
 
 from __future__ import annotations
@@ -314,6 +314,9 @@ def main(argv=None) -> int:
     except InvalidObject as exc:
         print(f"invalid object: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except OSError as exc:  # inputs are read by _load_json, so this is --output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

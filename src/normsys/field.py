@@ -146,9 +146,6 @@ class QuadExt(Frozen):
     def __abs__(self):
         return -self if sign(self) < 0 else self
 
-    def __float__(self):
-        return float(self.a) + float(self.b) * self.d ** 0.5
-
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r}, {self.d})"
 
@@ -188,13 +185,16 @@ _QUAD_RE = re.compile(
 def parse_value(text: str) -> FieldValue:
     """Parse "p/q", "p", or "p/q+r/s*sqrt(d)" exactly."""
     text = text.strip()
-    if "sqrt" not in text:
-        return Fraction(text)
-    m = _QUAD_RE.match(text)
-    if not m or not m.group("bterm"):
-        raise ValueError(f"malformed field value: {text!r}")
-    a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-    b = Fraction(m.group("b"))
+    try:
+        if "sqrt" not in text:
+            return Fraction(text)
+        m = _QUAD_RE.match(text)
+        if not m or not m.group("bterm"):
+            raise ValueError(f"malformed field value: {text!r}")
+        a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
+        b = Fraction(m.group("b"))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in field value: {text!r}") from None
     return QuadExt(a, b, int(m.group("d")))
 
 

@@ -5,6 +5,7 @@ Everything is seeded explicitly by the caller so runs are reproducible.
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from normsys import (
     AntipodalArrangement,
@@ -18,7 +19,41 @@ from normsys import (
     positive_combination,
     sign,
 )
-from normsys.linalg import solve
+from normsys.linalg import rank, solve
+
+
+def identity(n: int) -> Matrix:
+    return Matrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def add(a: Matrix, b: Matrix) -> Matrix:
+    assert (a.nrows, a.ncols) == (b.nrows, b.ncols)
+    return Matrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])
+
+
+def sub(a: Matrix, b: Matrix) -> Matrix:
+    assert (a.nrows, a.ncols) == (b.nrows, b.ncols)
+    return Matrix([[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])
+
+
+def inverse(a: Matrix) -> Matrix:
+    """The inverse of a square nonsingular matrix, one ``solve`` per column."""
+    return Matrix([solve(a, e) for e in identity(a.nrows).rows]).transpose()
+
+
+class ProjectorPair(NamedTuple):
+    """Orthogonal projections onto a row span and its complement."""
+
+    p: Matrix
+    q: Matrix
+
+
+def projectors(span_rows: Matrix) -> ProjectorPair:
+    """P = T^t (T T^t)^{-1} T for independent rows T, and Q = I - P."""
+    t = span_rows
+    assert rank(t) == t.nrows, "rows are linearly dependent"
+    p = t.transpose() * inverse(t * t.transpose()) * t
+    return ProjectorPair(p, sub(identity(t.ncols), p))
 
 
 def random_fraction(rng: random.Random, lo=-5, hi=5, max_den=3) -> Fraction:

@@ -39,8 +39,11 @@ from normsys import (
     simplex_orientation_check,
     standard_arrangement,
 )
-from normsys.linalg import projectors, rank
+from normsys.linalg import rank
 from conftest import (
+    add,
+    identity,
+    projectors,
     random_arrangement,
     random_invertible,
     random_normal_system,
@@ -287,8 +290,8 @@ def test_criterion_09_projection_signs_and_projectors(report):
             if rank(span) == 2:
                 break
         pq = projectors(span)
-        ident = Matrix.identity(4)
-        assert pq.p + pq.q == ident
+        ident = identity(4)
+        assert add(pq.p, pq.q) == ident
         assert pq.p * pq.p == pq.p and pq.q * pq.q == pq.q
         assert pq.p.transpose() == pq.p and pq.q.transpose() == pq.q
         # sign preservation under projection, exhaustive per projection pair

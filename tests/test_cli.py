@@ -42,6 +42,10 @@ def files(tmp_path):
         json.dumps({"m": 2, "vectors": [["1+1*sqrt(2)", "1"], ["1", "1*sqrt(3)"]]})
     )
     paths["mixed"] = str(mixed)
+    for i, text in enumerate(("1/0", "1/0+1*sqrt(2)", "1/0*sqrt(2)")):
+        zero = tmp_path / f"zero{i}.json"
+        zero.write_text(json.dumps({"m": 2, "vectors": [[text, "1"], ["1", "2"]]}))
+        paths[f"zero{i}"] = str(zero)
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -52,10 +56,20 @@ def test_validate(files, capsys):
 
 
 def test_parse_error_exit_code(files, capsys):
-    # broken JSON, a wrong JSON shape, and two radicands in one file
-    for key in ("bad", "shape", "mixed"):
+    # broken JSON, a wrong JSON shape, two radicands in one file, and zero
+    # denominators in a rational and in both parts of a quadratic value
+    for key in ("bad", "shape", "mixed", "zero0", "zero1", "zero2"):
         assert main(["validate", files[key]]) == 1
         assert "parse error" in capsys.readouterr().err
+
+
+def test_unwritable_output_exit_code(files, capsys):
+    path = files["dir"] + "/no-such-dir/out.txt"
+    assert main(["--output", path, "validate", files["U1"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output")
+    assert captured.err.count("\n") == 1
 
 
 def test_usage_error_exit_code():

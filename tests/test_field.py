@@ -108,6 +108,12 @@ def test_quad_sign_matches_float():
         checked += 1
 
 
+def test_zero_denominator_is_a_parse_error():
+    for text in ("1/0", "1/0+1*sqrt(2)", "1/0*sqrt(2)", "1+1/0*sqrt(2)"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_value(text)
+
+
 def test_parse_format_roundtrip():
     for text in ("3/4", "-2", "0", "1/2+3/5*sqrt(2)", "-1+1*sqrt(7)"):
         v = parse_value(text)

@@ -1,15 +1,22 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normsys import Matrix, det, kernel_basis, linalg, rank, sign
+from normsys import Matrix, QuadExt, det, kernel_basis, linalg, rank, sign
 from normsys.chirotope import Chirotope, scaled_minors
-from normsys.linalg import ProjectorPair, inverse, projectors, solve
-from conftest import random_normal_system, random_scalar
+from normsys.linalg import solve
+from conftest import (
+    add,
+    identity,
+    inverse,
+    projectors,
+    random_normal_system,
+    random_scalar,
+)
 
 entries = st.fractions(min_value=-20, max_value=20, max_denominator=5)
 
@@ -21,7 +28,7 @@ def square(n):
 
 
 def test_det_basics():
-    assert det(Matrix.identity(3)) == 1
+    assert det(identity(3)) == 1
     assert det(Matrix([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])) == -1
 
 
@@ -124,7 +131,7 @@ def test_inverse():
             )
             if det(a) != 0:
                 break
-        assert a * inverse(a) == Matrix.identity(3)
+        assert a * inverse(a) == identity(3)
 
 
 def test_projector_identities():
@@ -136,8 +143,8 @@ def test_projector_identities():
         if rank(Matrix(rows)) < 2:
             continue
         pq = projectors(Matrix(rows))
-        ident = Matrix.identity(4)
-        assert pq.p + pq.q == ident
+        ident = identity(4)
+        assert add(pq.p, pq.q) == ident
         assert pq.p * pq.p == pq.p
         assert pq.q * pq.q == pq.q
         assert pq.p.transpose() == pq.p
@@ -146,3 +153,78 @@ def test_projector_identities():
         for r in rows:
             assert pq.p.apply(r) == tuple(r)
             assert pq.q.apply(r) == (Fraction(0),) * 4
+
+
+# Q(sqrt 2) and Q(sqrt 5): zero entries force row swaps, and rows that are
+# combinations of earlier rows make singular and rank-deficient matrices
+def quad_entries(d):
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    return st.one_of(
+        st.just(Fraction(0)), small, st.builds(QuadExt, small, small, st.just(d))
+    )
+
+
+@st.composite
+def quad_matrix(draw, nrows, ncols, d=None):
+    d = d or draw(st.sampled_from((2, 5)))
+    rows = []
+    for i in range(nrows):
+        if i and draw(st.integers(0, 3)) == 0:
+            coeffs = draw(st.lists(quad_entries(d), min_size=i, max_size=i))
+            rows.append(
+                [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                 for j in range(ncols)]
+            )
+        else:
+            rows.append(draw(st.lists(quad_entries(d), min_size=ncols, max_size=ncols)))
+    return Matrix(rows)
+
+
+def leibniz_det(m):
+    """Sum over permutations of the signed products of entries."""
+    total = Fraction(0)
+    for perm in permutations(range(m.nrows)):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        total = total + term
+    return total
+
+
+square_shapes = st.integers(1, 4).flatmap(lambda n: quad_matrix(n, n))
+any_shapes = st.one_of(square_shapes, quad_matrix(2, 4), quad_matrix(4, 2))
+
+
+@settings(max_examples=80)
+@given(square_shapes)
+def test_det_matches_leibniz_over_quadratic_fields(a):
+    assert det(a) == leibniz_det(a)
+
+
+@settings(max_examples=80)
+@given(any_shapes)
+def test_rank_and_kernel_over_quadratic_fields(a):
+    ker = kernel_basis(a)
+    assert rank(a) + len(ker) == a.ncols
+    assert rank(a) == rank(a.transpose())
+    for v in ker:
+        assert all(sign(x) == 0 for x in a.apply(v))
+
+
+@st.composite
+def quad_system(draw):
+    d, n = draw(st.sampled_from((2, 5))), draw(st.integers(1, 4))
+    b = draw(st.lists(quad_entries(d), min_size=n, max_size=n))
+    return draw(quad_matrix(n, n, d)), b
+
+
+@settings(max_examples=80)
+@given(quad_system())
+def test_solve_over_quadratic_fields(system):
+    a, b = system
+    if leibniz_det(a) == 0:
+        with pytest.raises(ValueError, match="singular matrix"):
+            solve(a, b)
+        return
+    assert a.apply(solve(a, b)) == tuple(b)
