@@ -35,7 +35,9 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad syntax, bytes that are not UTF-8 and integers
+        # past the digit limit; RecursionError, arrays nested too deep
         raise ParseFailure(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseFailure(f"{path}: expected a JSON object")

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
+from math import isqrt
 from typing import Union
 
 from .frozen import Frozen
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# trial division takes sqrt(d)/2 steps: milliseconds below this bound
+_MAX_RADICAND = 2**32
 
 
 class FieldTagMismatch(TypeError):
@@ -26,17 +29,8 @@ class FieldTagMismatch(TypeError):
 
 
 def _is_square_free(d: int) -> bool:
-    if d <= 0:
-        return False
-    for p in _SMALL_PRIMES:
-        if d % (p * p) == 0:
-            return False
-    p = _SMALL_PRIMES[-1] + 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
-        p += 2
-    return True
+    """Trial division of d >= 1 by p^2 for p = 2 and every odd p <= sqrt(d)."""
+    return all(d % (p * p) for p in chain((2,), range(3, isqrt(d) + 1, 2)))
 
 
 class QuadExt(Frozen):
@@ -46,6 +40,8 @@ class QuadExt(Frozen):
 
     def __init__(self, a, b, d: int):
         d = int(d)
+        if d >= _MAX_RADICAND:
+            raise ValueError(f"radicand must be below 2**32, got {d}")
         if d <= 1 or not _is_square_free(d):
             raise ValueError(f"radicand must be a square-free integer > 1, got {d}")
         self._set(Fraction(a), Fraction(b), d)

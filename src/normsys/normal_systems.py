@@ -159,7 +159,8 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
     r - 2 seed labels: its order holds the head and n - 2r + 4 >= 4 seed
     labels (anchors), and the alignment with its image's order that puts
     the first anchor on its image, in each direction, names the head's
-    images if every other anchor fits too.
+    images if every other anchor fits too.  The anchors' images fill the
+    rest of that order, so the head lands on S.
     """
     labels, r = chi1.labels, chi1.rank
     if r == 1:

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,20 @@ def files(tmp_path):
         json.dumps({"m": 2, "vectors": [["1+1*sqrt(2)", "1"], ["1", "1*sqrt(3)"]]})
     )
     paths["mixed"] = str(mixed)
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    paths["nested"] = str(nested)
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    paths["undecodable"] = str(undecodable)
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"m": ' + "7" * 5000 + ', "vectors": []}')
+    paths["digits"] = str(digits)
+    radicand = tmp_path / "radicand.json"
+    radicand.write_text(
+        json.dumps({"m": 1, "vectors": [["1*sqrt(100000000000000000000000000000000000003)"]]})
+    )
+    paths["radicand"] = str(radicand)
     for i, text in enumerate(("1/0", "1/0+1*sqrt(2)", "1/0*sqrt(2)")):
         zero = tmp_path / f"zero{i}.json"
         zero.write_text(json.dumps({"m": 2, "vectors": [[text, "1"], ["1", "2"]]}))
@@ -56,11 +74,30 @@ def test_validate(files, capsys):
 
 
 def test_parse_error_exit_code(files, capsys):
-    # broken JSON, a wrong JSON shape, two radicands in one file, and zero
-    # denominators in a rational and in both parts of a quadratic value
-    for key in ("bad", "shape", "mixed", "zero0", "zero1", "zero2"):
+    # broken JSON, JSON nested past the recursion limit, bytes that are not
+    # UTF-8, an integer past the digit limit, a wrong JSON shape, two
+    # radicands in one file, and zero denominators in a rational and in
+    # both parts of a quadratic value
+    for key in (
+        "bad", "nested", "undecodable", "digits", "shape", "mixed", "zero0", "zero1", "zero2"
+    ):
         assert main(["validate", files[key]]) == 1
         assert "parse error" in capsys.readouterr().err
+
+
+def test_large_radicand_is_a_parse_error(files):
+    # square-freeness is decided by trial division, so a radicand past the
+    # bound must fail at once rather than run for years; a child process
+    # with a timeout turns a hang into a failure
+    proc = subprocess.run(
+        [sys.executable, "-m", "normsys.cli", "validate", files["radicand"]],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert proc.returncode == 1
+    assert "parse error" in proc.stderr and "below 2**32" in proc.stderr
 
 
 def test_unwritable_output_exit_code(files, capsys):

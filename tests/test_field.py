@@ -153,8 +153,12 @@ def test_results_equal_validated_values(a, b, c, e, d, r):
 
 
 def test_bad_radicand_still_raises():
-    for d in (0, 1, 4, 12, 49, -3):
+    # square-freeness is decided by trial division, so radicands are bounded
+    # below 2**32; the prime just below the bound parses
+    for d in (0, 1, 4, 12, 49, -3, 2**32, 2**32 + 15, 10**38 + 3):
         with pytest.raises(ValueError):
             QuadExt(Fraction(1), Fraction(1), d)
-    with pytest.raises(ValueError):
-        parse_value("1+1*sqrt(8)")
+    for text in ("1+1*sqrt(8)", "1*sqrt(100000000000000000000000000000000000003)"):
+        with pytest.raises(ValueError):
+            parse_value(text)
+    assert parse_value("1*sqrt(4294967291)") == QuadExt(0, 1, 4294967291)

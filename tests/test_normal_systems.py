@@ -267,6 +267,34 @@ def test_rank_one_candidates_fix_the_pin():
     assert len(list(_candidates(chi, chi))) == factorial(4)
 
 
+@pytest.mark.parametrize("d", [None, 5])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_candidates_are_bijections(r, d):
+    """Every map ``_candidates`` yields at rank r on n = 2r..2r+3 labels is
+    a permutation of chi2's labels, and fixes the pin when one is given:
+    the anchors' images fill the probe's image order but for the head's
+    slots, so the head lands on its image set.  n = 2r has the fewest
+    anchors (4).  Planted, independent and self pairs of systems, and of
+    lifts of rank r with e = n pinned."""
+    rng = random.Random(300 * r + (d or 0))
+    for n in range(2 * r, 2 * r + 4):
+        a = random_normal_system(rng, r, n, d)
+        ha = random_arrangement(rng, r - 1, n - 1, d)
+        pairs = [
+            (a.chirotope, b.chirotope, None)
+            for b in (transformed_system(rng, a, d), random_normal_system(rng, r, n, d), a)
+        ] + [
+            (ha.lift.chirotope, hb.lift.chirotope, n)
+            for hb in (planted_arrangement(rng, ha, d), random_arrangement(rng, r - 1, n - 1, d), ha)
+        ]
+        for chi1, chi2, pin in pairs:
+            perms = list(_candidates(chi1, chi2, pin))
+            assert perms or chi1 is not chi2
+            for perm in perms:
+                assert sorted(perm) == sorted(perm.values()) == list(chi2.labels)
+                assert perm.get(pin, pin) == pin
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(0, 10**6),
