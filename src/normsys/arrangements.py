@@ -128,16 +128,6 @@ class Region(Frozen):
         object.__setattr__(self, "signs", tuple(signs))
         object.__setattr__(self, "bounded", bounded)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Region)
-            and self.signs == other.signs
-            and self.bounded == other.bounded
-        )
-
-    def __hash__(self):
-        return hash((self.signs, self.bounded))
-
     def __lt__(self, other):
         return (self.signs, self.bounded) < (other.signs, other.bounded)
 
@@ -271,9 +261,6 @@ class ConcurrencySignMap(Frozen):
 
     def __len__(self):
         return len(self.signs)
-
-    def __eq__(self, other):
-        return isinstance(other, ConcurrencySignMap) and self.signs == other.signs
 
     def to_json_dict(self) -> dict:
         return {",".join(map(str, k)): v for k, v in self.signs.items()}

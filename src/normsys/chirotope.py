@@ -18,11 +18,15 @@ from __future__ import annotations
 
 from bisect import bisect
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .field import FieldValue, QuadExt
 from .frozen import Frozen
+
+
+# The expansion builds sum_{k <= rank} C(n, k) minors, 2^n - 2 at n = rank + 1.
+MAX_MINORS = 2**20
 
 
 def scaled_minors(
@@ -37,8 +41,14 @@ def scaled_minors(
     t of (-1)^(k-1-t) x[S_t][k-1] times the minor of the first k - 1
     columns over S without S_t: no division, no pivot and no row swap, so
     integer rows stay integers and quadratic-extension rows need no
-    inverse.
+    inverse.  Raises ValueError if that takes more than MAX_MINORS minors.
     """
+    count = sum(comb(len(vectors), k) for k in range(1, rank + 1))
+    if count > MAX_MINORS:
+        raise ValueError(
+            f"{len(vectors)} vectors of rank {rank} need {count} minors "
+            f"(limit {MAX_MINORS})"
+        )
     if any(isinstance(x, QuadExt) for v in vectors.values() for x in v):
         scale, rows = dict.fromkeys(vectors, 1), vectors
     else:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from . import arrangements, fixtures
 from .arrangements import HyperplaneArrangement

@@ -21,11 +21,8 @@ from typing import Dict, Sequence, Tuple
 from .chirotope import Chirotope, _inserted, _odd
 from .field import sign
 from .frozen import Frozen
-from .sphere import (
-    AntipodalArrangement,
-    _frame_coordinates,
-    oriented_complement_frame,
-)
+from .linalg import Matrix
+from .sphere import AntipodalArrangement, oriented_complement_frame
 
 
 class LineCycle(Frozen):
@@ -44,12 +41,6 @@ class LineCycle(Frozen):
 
     def __len__(self):
         return len(self.labels)
-
-    def __eq__(self, other):
-        return isinstance(other, LineCycle) and self.labels == other.labels
-
-    def __hash__(self):
-        return hash(self.labels)
 
     def inverse(self) -> "LineCycle":
         return LineCycle(tuple(reversed(self.labels)))
@@ -89,7 +80,10 @@ def line_cycle(arr: AntipodalArrangement, label: int, positive: bool = True) -> 
 
     The plane orthogonal to the point carries the orientation for which the
     point's direction completes the frame positively (thumb rule); clockwise
-    then reads as descending counterclockwise angle.
+    then reads as descending counterclockwise angle.  A point's plane
+    coordinates are its dot products with the frame rows, which the
+    positive definite Gram matrix maps from those of its projection, so
+    the cyclic order is the same.
     """
     if arr.dim_k != 2:
         raise ValueError("line cycles are defined on the 2-sphere")
@@ -98,13 +92,9 @@ def line_cycle(arr: AntipodalArrangement, label: int, positive: bool = True) -> 
     if label not in arr.points:
         raise KeyError(f"label {label} not in arrangement")
     center = arr.points[label] if positive else arr.points[label].antipode()
-    frame = oriented_complement_frame([center.rep])
-    folded = []
-    for j, p in arr.points.items():
-        if j == label:
-            continue
-        u = _frame_coordinates(frame, p.rep)
-        folded.append((j, _fold_upper(u)))
+    frame = Matrix(oriented_complement_frame([center.rep]))
+    others = [(j, p) for j, p in arr.points.items() if j != label]
+    folded = [(j, _fold_upper(frame.apply(p.rep))) for j, p in others]
     folded.sort(key=functools.cmp_to_key(lambda a, b: _angle_cmp(a[1], b[1])))
     # ascending fold angle reads clockwise as seen from the point; the
     # convention is calibrated against the standard four-pair dictionary
@@ -130,9 +120,6 @@ class CycleInvariantSet(Frozen):
 
     def __iter__(self):
         return iter(self.cycles.items())
-
-    def __eq__(self, other):
-        return isinstance(other, CycleInvariantSet) and self.cycles == other.cycles
 
     def to_json_dict(self) -> dict:
         out = {}

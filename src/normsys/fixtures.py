@@ -15,7 +15,6 @@ from importlib import resources
 from typing import Dict, List, Tuple
 
 from .cycles import LineCycle, line_cycle
-from .field import parse_value
 from .frozen import Frozen
 from .normal_systems import NormalSystem
 from .sphere import AntipodalArrangement

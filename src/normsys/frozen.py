@@ -4,7 +4,12 @@ from __future__ import annotations
 
 
 class Frozen:
-    """Slots are set once, at construction, and never assigned again."""
+    """Slots are set once, at construction, and never assigned again.
+
+    Two instances are equal iff they have the same type and equal slot
+    values, and the hash is that of the slot values; an instance that
+    holds a dict or a list is therefore unhashable.
+    """
 
     __slots__ = ()
 
@@ -23,3 +28,14 @@ class Frozen:
         obj = object.__new__(cls)
         obj._set(*values)
         return obj
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())

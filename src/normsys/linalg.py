@@ -34,12 +34,6 @@ class Matrix(Frozen):
         i, j = ij
         return self.rows[i][j]
 
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.rows]!r})"
 

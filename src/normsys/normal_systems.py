@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
@@ -26,6 +27,17 @@ from .frozen import Frozen
 from .linalg import Matrix
 from .sphere import AntipodalArrangement, SpherePoint
 from .symbols import SignedBijection, all_signed_bijections
+
+# Where the shape alone fixes the witnesses, they are all enumerated: 2^n n!
+# with n <= m, 2 per permutation at searched rank 1.  The bound is n = 7.
+MAX_WITNESSES = 2**7 * factorial(7)
+
+
+def _enumerable(count: int) -> None:
+    if count > MAX_WITNESSES:
+        raise ValueError(
+            f"the search would enumerate {count} witnesses (limit {MAX_WITNESSES})"
+        )
 
 
 class NormalSystem(Frozen):
@@ -96,13 +108,6 @@ class NormalSystem(Frozen):
         vectors = [[parse_value(s) for s in row] for row in data["vectors"]]
         return cls(int(data["m"]), vectors)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, NormalSystem)
-            and self.m == other.m
-            and self.vectors == other.vectors
-        )
-
     def __repr__(self):
         return f"NormalSystem(m={self.m}, n={self.n})"
 
@@ -164,6 +169,7 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
     """
     labels, r = chi1.labels, chi1.rank
     if r == 1:
+        _enumerable(2 * factorial(len(labels) - (pin in labels)))
         for images in permutations(labels):
             perm = dict(zip(labels, images))
             if perm.get(pin, pin) == pin:
@@ -246,7 +252,8 @@ def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBiject
     permutations when r = 1); the signs are solved from chi by single
     exchanges, and a candidate is kept iff it pulls chi2 back to +-chi1.
     Validity of the inputs also comes from chi.  Returns the empty list
-    exactly when the systems are not isomorphic.
+    exactly when the systems are not isomorphic; raises ValueError when
+    the shape fixes more than MAX_WITNESSES witnesses.
     """
     if ns1.m != ns2.m:
         raise ValueError("ambient dimensions differ")
@@ -256,6 +263,7 @@ def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBiject
         raise ValueError("inputs must be valid normal systems")
     if ns1.n <= ns1.m:
         # no label lies outside a base, so every signed bijection works
+        _enumerable(2**ns1.n * factorial(ns1.n))
         return sorted(all_signed_bijections(ns1.labels), key=SignedBijection.key)
     return _witnesses(ns1.chirotope, ns2.chirotope)
 

@@ -45,12 +45,6 @@ class SpherePoint(Frozen):
     def antipode(self) -> "SpherePoint":
         return SpherePoint(tuple(-x for x in self.rep))
 
-    def __eq__(self, other):
-        return isinstance(other, SpherePoint) and self.rep == other.rep
-
-    def __hash__(self):
-        return hash(self.rep)
-
     def __neg__(self):
         return self.antipode()
 
@@ -197,21 +191,17 @@ def oriented_complement_frame(span_reps: Sequence[Sequence[FieldValue]]) -> list
     return frame
 
 
-def _frame_coordinates(frame: Sequence[Sequence[FieldValue]], vector) -> tuple:
-    # Rows of the frame are orthogonal to the span, so the orthogonal
-    # projection of v has frame coordinates (B B^t)^{-1} B v.
-    b = Matrix(frame)
-    gram = b * b.transpose()
-    return linalg.solve(gram, b.apply(vector))
-
-
 def project_arrangement(
     arr: AntipodalArrangement, along: Sequence[int]
 ) -> AntipodalArrangement:
     """Project the arrangement along the span of the given labels.
 
-    The result lives on the (k - r)-sphere, expressed in the oriented
-    complement frame; labels of the remaining points are preserved.
+    The result lives on the (k - r)-sphere: each point becomes its dot
+    products B v with the rows of the oriented complement frame B.  These
+    are the frame coordinates (B B^t)^{-1} B v of the orthogonal projection
+    mapped by the positive definite B B^t, so every orientation sign, and
+    with it every cycle and chi, is that of the projection.  Labels of the
+    remaining points are preserved.
     """
     along = tuple(sorted(along))
     if not along:
@@ -225,13 +215,9 @@ def project_arrangement(
         if i not in arr.points:
             raise KeyError(f"label {i} not in arrangement")
     span = [arr.points[i].rep for i in along]
-    frame = oriented_complement_frame(span)
-    projected = {}
-    for i, p in arr.points.items():
-        if i in along:
-            continue
-        coords = _frame_coordinates(frame, p.rep)
-        projected[i] = SpherePoint(coords)
+    frame = Matrix(oriented_complement_frame(span))
+    kept = {i: p for i, p in arr.points.items() if i not in along}
+    projected = {i: SpherePoint(frame.apply(p.rep)) for i, p in kept.items()}
     out = AntipodalArrangement(arr.dim_k - r, projected, check=False)
     ok, bad = out.general_position()
     # General position of the source guarantees it for the projection.

@@ -30,16 +30,6 @@ class Symbol(Frozen):
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "triple", triple)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Symbol)
-            and self.head == other.head
-            and self.triple == other.triple
-        )
-
-    def __hash__(self):
-        return hash((self.head, self.triple))
-
     def __lt__(self, other):
         return (self.head, self.triple) < (other.head, other.triple)
 
@@ -170,13 +160,6 @@ class SignedBijection(Frozen):
         return (
             tuple(self.perm[i] for i in self.labels),
             tuple(self.signs[i] for i in self.labels),
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SignedBijection)
-            and self.perm == other.perm
-            and self.signs == other.signs
         )
 
     def __hash__(self):

@@ -2,6 +2,7 @@
 conversions hand it over; the stored chi must equal a fresh build."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from normsys import (
     hyperplanes_from,
     normal_system_of,
 )
+from normsys import chirotope
 from normsys.chirotope import Chirotope
 from normsys.linalg import Matrix, kernel_basis
 from conftest import (
@@ -137,3 +139,20 @@ def test_dual_is_the_gale_transform(d):
             assert list(dual.signs) == list(combinations(ns.labels, n - r))
             assert up_to_sign(dual, gale_chirotope(ns))
             assert up_to_sign(dual.dual(), ns.chirotope)
+
+
+def test_minor_count_guard(monkeypatch):
+    """The expansion takes sum_{k <= r} C(n, k) minors, 2^21 - 2 for 21
+    vectors in F^20: refused before any is computed.  At the limit the
+    build runs."""
+    rows = [[int(i == j) for j in range(20)] for i in range(20)] + [[1] * 20]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="21 vectors of rank 20 need 2097150 minors"):
+        NormalSystem(20, rows)
+    assert time.perf_counter() - start < 1
+    vectors = dict(enumerate([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 1))
+    monkeypatch.setattr(chirotope, "MAX_MINORS", 4 + 6 + 4)
+    assert Chirotope(3, vectors).zero() is None
+    monkeypatch.setattr(chirotope, "MAX_MINORS", 4 + 6 + 3)
+    with pytest.raises(ValueError, match="limit 13"):
+        Chirotope(3, vectors)

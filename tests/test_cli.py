@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from normsys import (
 from normsys.chirotope import Chirotope
 from normsys.cli import main
 from conftest import random_arrangement, random_normal_system, transformed_system
+
+REPO = Path(__file__).parents[1]
 
 
 @pytest.fixture
@@ -94,7 +97,7 @@ def test_large_radicand_is_a_parse_error(files):
         capture_output=True,
         text=True,
         timeout=30,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
     )
     assert proc.returncode == 1
     assert "parse error" in proc.stderr and "below 2**32" in proc.stderr
@@ -238,3 +241,37 @@ def test_chirotope_built_once_per_input(files, monkeypatch, argv, builds):
     monkeypatch.setattr(Chirotope, "__init__", counted)
     assert main([argv[0]] + [files[key] for key in argv[1:]]) in (0, 3)
     assert len(ranks) == builds
+
+
+@pytest.mark.parametrize(
+    "command, m, n",
+    [("validate", 20, 21), ("ns-iso", 8, 8), ("ns-iso", 8, 9)],
+)
+def test_size_guards_exit_2(tmp_path, capsys, command, m, n):
+    """21 vectors in F^20 need 2^21 - 2 minors; (8, 8) and (8, 9) pairs
+    would enumerate more than 2^7 7! witnesses.  Each is refused at once,
+    as an invalid object, on one stderr line."""
+    rows = [["1" if i == j else "0" for j in range(m)] for i in range(m)] + [["1"] * m]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"m": m, "vectors": rows[:n]}))
+    start = time.perf_counter()
+    assert main([command] + [str(path)] * (2 if command == "ns-iso" else 1)) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert ("minors" if command == "validate" else "witnesses") in captured.err
+
+
+GOLDEN_CLI = json.loads((REPO / "bench" / "golden" / "cli.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "command", GOLDEN_CLI["commands"], ids=lambda c: " ".join(c["argv"])
+)
+def test_benchmark_cli_corpus(monkeypatch, capsys, command):
+    """The benchmark's recorded CLI commands, run in-process from the
+    repository root: stdout and exit code as recorded."""
+    monkeypatch.chdir(REPO)
+    assert main(command["argv"]) == command["exit"]
+    assert capsys.readouterr().out == command["stdout"]

@@ -1,0 +1,119 @@
+"""Value equality of the Frozen types: same type and equal slot values."""
+
+from fractions import Fraction
+
+import pytest
+
+from normsys import (
+    AntipodalArrangement,
+    ConcurrencySignMap,
+    CycleInvariantSet,
+    HyperplaneArrangement,
+    IsoResult,
+    LineCycle,
+    Matrix,
+    NormalSystem,
+    PaperFixture,
+    QuadExt,
+    Region,
+    SignedBijection,
+    SpherePoint,
+    Symbol,
+)
+from normsys.chirotope import Chirotope
+from normsys.fixtures import Equation, FixtureReport
+from normsys.sphere import PositiveCombination
+
+ROWS = [[1, 0], [0, 1], [1, 1]]
+CONSTANTS = [0, 0, 1]
+
+# each entry builds an instance from data; the second data differs
+CASES = {
+    "LineCycle": (LineCycle, ([2, 3, 1],), ([3, 2, 1],)),
+    "CycleInvariantSet": (
+        lambda c: CycleInvariantSet({((), 1, 1): LineCycle(c)}),
+        ([2, 3, 4],),
+        ([2, 4, 3],),
+    ),
+    "Symbol": (Symbol, (1, (2, 3, 4)), (1, (2, 4, 3))),
+    "SignedBijection": (
+        SignedBijection,
+        ({1: 2, 2: 1}, {1: 1, 2: -1}),
+        ({1: 2, 2: 1}, {1: 1, 2: 1}),
+    ),
+    "SpherePoint": (SpherePoint, ([2, 4],), ([2, -4],)),
+    "Region": (Region, ([1, -1], True), ([1, -1], False)),
+    "ConcurrencySignMap": (ConcurrencySignMap, ({(1, 2, 3): 1},), ({(1, 2, 3): -1},)),
+    "Matrix": (Matrix, (ROWS,), ([[1, 0], [0, 1], [1, 2]],)),
+    "NormalSystem": (NormalSystem, (2, ROWS), (2, [[1, 0], [0, 1], [1, 2]])),
+    "AntipodalArrangement": (
+        AntipodalArrangement.from_vectors,
+        (1, ROWS),
+        (1, [[1, 0], [0, 1], [1, 2]]),
+    ),
+    "HyperplaneArrangement": (
+        HyperplaneArrangement,
+        (2, ROWS, CONSTANTS),
+        (2, ROWS, [0, 0, 2]),
+    ),
+    "Chirotope": (
+        lambda rows: Chirotope(2, dict(enumerate(rows, 1))),
+        (ROWS,),
+        ([[1, 0], [0, 1], [1, -1]],),
+    ),
+    "IsoResult": (
+        lambda s: IsoResult(True, SignedBijection({1: 1}, {1: s}), "a"),
+        (1,),
+        (-1,),
+    ),
+    "PositiveCombination": (
+        PositiveCombination,
+        ([Fraction(1, 2), 1],),
+        ([Fraction(1, 3), 1],),
+    ),
+    "PaperFixture": (
+        PaperFixture,
+        ("x", "cycles", {(1, 1): LineCycle([2, 3, 4])}),
+        ("x", "cycles", {}),
+    ),
+    "Equation": (
+        Equation,
+        ([(1, 1)], [(1, 2)], [Fraction(1)]),
+        ([(1, 1)], [(1, 3)], [Fraction(1)]),
+    ),
+    "FixtureReport": (FixtureReport, ("x", []), ("x", ["diff"])),
+}
+UNHASHABLE = {
+    "CycleInvariantSet", "ConcurrencySignMap", "NormalSystem", "AntipodalArrangement",
+    "HyperplaneArrangement", "Chirotope", "PaperFixture",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_equal_data_gives_equal_values(name):
+    build, data, other = CASES[name]
+    a, b, c = build(*data), build(*data), build(*other)
+    assert a is not b and a == b and not a != b
+    assert a != c and not a == c
+    assert a != object()
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b, c}) == 2
+
+
+def test_rational_quadext_still_equals_fraction():
+    q = QuadExt(Fraction(3, 2), 0, 5)
+    assert q == Fraction(3, 2) and Fraction(3, 2) == q
+    assert hash(q) == hash(Fraction(3, 2))
+    assert QuadExt(1, 1, 5) != QuadExt(1, 1, 2)
+
+
+def test_arrangements_from_equal_rows_are_equal():
+    # they compared by identity before equality was defined on Frozen
+    ha1 = HyperplaneArrangement(2, ROWS, CONSTANTS)
+    ha2 = HyperplaneArrangement(2, [list(r) for r in ROWS], list(CONSTANTS))
+    assert ha1 == ha2
+    assert ha1 != HyperplaneArrangement(2, ROWS, [0, 0, 2])

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -359,6 +360,40 @@ def test_oracle_size_guard():
     big = random_normal_system(rng, 2, 8)
     with pytest.raises(ValueError):
         oracle_isomorphisms(big, big)
+
+
+def unit_system(m: int, n: int) -> NormalSystem:
+    """The unit vectors of F^m, then the all-ones vector if n = m + 1."""
+    rows = [[int(i == j) for j in range(m)] for i in range(m)] + [[1] * m]
+    return NormalSystem(m, rows[:n])
+
+
+@pytest.mark.parametrize("m, n", [(8, 8), (8, 9)])
+def test_witness_enumeration_guard(m, n):
+    """2^8 8! witnesses at (8, 8) and 2 * 9! at (8, 9), searched at rank
+    1, exceed 2^7 7!: refused before any is built."""
+    a = unit_system(m, n)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="witnesses"):
+        find_isomorphisms(a, a)
+    assert time.perf_counter() - start < 1
+
+
+def test_witness_guard_counts(monkeypatch):
+    """The guard's count is the number of witnesses found: 2^n n! for
+    n <= m, 2 n! at rank 1, and 2 (n - 1)! at rank 1 with a pinned label."""
+    lift = random_arrangement(random.Random(5), 2, 3).lift  # rank 1 dual, 4 labels
+    searches = [
+        (lambda: find_isomorphisms(unit_system(3, 3), unit_system(3, 3)), 8 * 6),
+        (lambda: find_isomorphisms(unit_system(3, 4), unit_system(3, 4)), 2 * 24),
+        (lambda: _witnesses(lift.chirotope, lift.chirotope, pin=4), 2 * 6),
+    ]
+    for search, count in searches:
+        monkeypatch.setattr(normal_systems, "MAX_WITNESSES", count)
+        assert len(search()) == count
+        monkeypatch.setattr(normal_systems, "MAX_WITNESSES", count - 1)
+        with pytest.raises(ValueError, match=f"enumerate {count} witnesses"):
+            search()
 
 
 def _coefficient_signs(ns):
