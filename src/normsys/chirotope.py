@@ -17,8 +17,10 @@ minors, as values, give the wall circuits of ``arrangements.cone_facets``.
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, starmap
 from math import comb, lcm
+from operator import gt, mul
 from typing import Dict, Optional, Sequence, Tuple
 
 from .field import FieldValue, QuadExt
@@ -71,7 +73,7 @@ def scaled_minors(
 
 def _odd(seq: Sequence[int]) -> bool:
     """True iff sorting seq takes an odd number of transpositions."""
-    return sum(a > b for a, b in combinations(seq, 2)) % 2 == 1
+    return sum(starmap(gt, combinations(seq, 2))) % 2 == 1
 
 
 def _inserted(signs: dict, seq: Tuple[int, ...], h: int, tail: tuple = ()) -> int:
@@ -85,9 +87,9 @@ def _inserted(signs: dict, seq: Tuple[int, ...], h: int, tail: tuple = ()) -> in
 class Chirotope(Frozen):
     """Signs of the maximal minors of labelled vectors in F^rank.
 
-    ``signs`` maps every sorted rank-subset of the labels to the sign of
-    its determinant; calling the chirotope on any sequence of distinct
-    labels gives the sign for the rows in that order.
+    ``signs`` maps every sorted rank-subset of the labels, in sorted
+    order, to the sign of its determinant; calling the chirotope on any
+    sequence of distinct labels gives the sign for the rows in that order.
     """
 
     __slots__ = ("rank", "labels", "signs")
@@ -108,21 +110,30 @@ class Chirotope(Frozen):
     def dual(self) -> "Chirotope":
         """The dual, of rank n - rank on the same labels (Björner et al.
         1993, 3.4): chi*(T) = chi(T') sgn(T', T), T' the sorted complement
-        of T, sgn the parity of sorting T' + T; +-chi of the Gale transform."""
-        labels = self.labels
+        of T, sgn the parity of sorting T' + T; +-chi of the Gale transform.
+
+        T' + T sorts by moving each T'_j past the c_j - j labels of T
+        below it, c_j its position among the labels, so the parity is
+        sum_j (c_j - j) mod 2.  Two sorted subsets compare as their
+        complements do, reversed, so the complements of chi's bases, taken
+        from the last, are the dual's bases in sorted order."""
+        labels, r = self.labels, self.rank
+        at = {q: c for c, q in enumerate(labels)}
+        shift = r * (r - 1) // 2  # sum_j j
         signs = {}
-        for rest in combinations(labels, len(labels) - self.rank):
-            comp = tuple(q for q in labels if q not in rest)
-            s = self.signs[comp]
-            signs[rest] = -s if _odd(comp + rest) else s
-        return Chirotope._of(len(labels) - self.rank, labels, signs)
+        for rest, (comp, s) in zip(
+            combinations(labels, len(labels) - r), reversed(self.signs.items())
+        ):
+            signs[rest] = -s if (sum(map(at.__getitem__, comp)) - shift) % 2 else s
+        return Chirotope._of(len(labels) - r, labels, signs)
 
     def pullback(self, w, base: Sequence[int]) -> int:
         """Sign of the determinant with rows mu(i) * v_pi(i), i in base in
         the given order, for a signed bijection w = (pi, mu) into these
-        labels."""
-        s = self([w.perm[i] for i in base])
-        return -s if sum(w.signs[i] < 0 for i in base) % 2 else s
+        labels: one sort and one inversion count of the images."""
+        seq = list(map(w.perm.__getitem__, base))
+        s = reduce(mul, map(w.signs.__getitem__, base), self.signs[tuple(sorted(seq))])
+        return -s if _odd(seq) else s
 
 
 def pullback_sign(chi1: Chirotope, chi2: Chirotope, w) -> int:
@@ -134,11 +145,12 @@ def pullback_sign(chi1: Chirotope, chi2: Chirotope, w) -> int:
     coefficient signs of v_u over a base B are ratios chi(B with u in one
     slot) / chi(B), and the bases of a uniform matroid are connected by
     single exchanges, so preserving every ratio fixes chi up to one global
-    sign.
+    sign.  Each base is read once, by ``Chirotope.pullback``, in sorted
+    order, and the first mismatch ends the check.
     """
-    eps = 0
+    eps, read = 0, chi2.pullback
     for base, s1 in chi1.signs.items():
-        s2 = chi2.pullback(w, base)
+        s2 = read(w, base)
         eps = eps or s1 * s2
         if s2 != (eps or 1) * s1:
             return 0

@@ -15,7 +15,8 @@ of rank n - m, when that rank is lower.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import cache, partial
+from itertools import combinations, permutations
 from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
@@ -134,8 +135,7 @@ def oracle_isomorphisms(
     if ns1.n > max_n:
         raise ValueError(f"oracle limited to n <= {max_n}")
     chi1, chi2 = ns1.chirotope, ns2.chirotope
-    out = [w for w in all_signed_bijections(ns1.labels) if pullback_sign(chi1, chi2, w)]
-    return sorted(out, key=SignedBijection.key)
+    return [w for w in all_signed_bijections(ns1.labels) if pullback_sign(chi1, chi2, w)]
 
 
 def _neighbours(order: Sequence[int]) -> Dict[int, Tuple[int, int]]:
@@ -165,7 +165,11 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
     labels (anchors), and the alignment with its image's order that puts
     the first anchor on its image, in each direction, names the head's
     images if every other anchor fits too.  The anchors' images fill the
-    rest of that order, so the head lands on S.
+    rest of that order, so the head lands on S.  The probe comes first:
+    its image and the anchors are read off the rotated target by seed
+    slot, and a permutation is built only for an alignment that passes.
+    The other orders of chi1, and the neighbours in chi2's, are computed
+    when first read.
     """
     labels, r = chi1.labels, chi1.rank
     if r == 1:
@@ -178,43 +182,47 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
     subsets = list(combinations(labels, r - 2))
     head = next((h for h in subsets if pin in h), subsets[0])
     others = [h for h in subsets if h != head]
-    orders1 = {h: contraction_order(chi1, h) for h in others}
+    order1 = cache(partial(contraction_order, chi1))
     orders2 = {h: contraction_order(chi2, h) for h in subsets}
-    nbrs2 = {h: _neighbours(order) for h, order in orders2.items()}
+    nbrs2 = cache(lambda h: _neighbours(orders2[h]))
     seed = contraction_order(chi1, head)
+    size = len(seed)
     if head:
-        probe = tuple(sorted(seed[: r - 2]))
-        order = orders1[probe]
-        size, at = len(order), {q: i for i, q in enumerate(order)}
-        first, *anchors = [i for i, q in enumerate(order) if q not in head]
+        order = order1(tuple(sorted(seed[: r - 2])))
+        at, slot = {q: i for i, q in enumerate(order)}, {q: k for k, q in enumerate(seed)}
+        # (position in the probe's order, seed slot) of the first anchor, then the rest
+        (first, k0), *anchors = [(i, slot[q]) for i, q in enumerate(order) if q not in head]
         pos2 = {h: {q: i for i, q in enumerate(o)} for h, o in orders2.items()}
 
-    def head_images(perm):
+    def head_images(ring, rot):
+        """The head's images when seed slot k goes to ring[rot + k]."""
         if not head:
             return [()]
-        image = tuple(sorted(perm[q] for q in probe))
-        ring, where = orders2[image], pos2[image]
+        image = tuple(sorted(ring[rot : rot + r - 2]))
+        target, where = orders2[image], pos2[image]
         # the offset j that puts the first anchor on its image
         return [
-            tuple(ring[(j + d * at[h]) % size] for h in head)
+            tuple(target[(j + d * at[h]) % size] for h in head)
             for d in (1, -1)
-            for j in [where[perm[order[first]]] - d * first]
-            if all(ring[(j + d * i) % size] == perm[order[i]] for i in anchors)
+            for j in [where[ring[rot + k0]] - d * first]
+            if all(target[(j + d * i) % size] == ring[rot + k] for i, k in anchors)
         ]
 
     for image_set in subsets:
         if (pin in image_set) != (pin in head):
             continue
         target = orders2[image_set]
-        for seq, rot in product((target, target[::-1]), range(len(target))):
-            aligned = dict(zip(seed, seq[rot:] + seq[:rot]))
-            for images in head_images(aligned):
-                perm = {**aligned, **dict(zip(head, images))}
-                if perm.get(pin, pin) == pin and all(
-                    _aligned(perm, orders1[h], nbrs2[tuple(sorted(perm[i] for i in h))])
-                    for h in others
-                ):
-                    yield perm
+        for seq in (target, target[::-1]):
+            ring = seq + seq
+            for rot in range(size):
+                for images in head_images(ring, rot):
+                    perm = dict(zip(seed, ring[rot : rot + size]))
+                    perm.update(zip(head, images))
+                    if perm.get(pin, pin) == pin and all(
+                        _aligned(perm, order1(h), nbrs2(tuple(sorted(perm[i] for i in h))))
+                        for h in others
+                    ):
+                        yield perm
 
 
 def _solve_signs(
@@ -223,25 +231,26 @@ def _solve_signs(
     """The sign vector mu with mu(b0) = +1 that makes (perm, mu) a witness,
     if any sign vector does.
 
-    With B the first base and B' the base B with b replaced by u in its
-    slot, a witness pulls chi2 back to eps * chi1 on both, so
-    mu(u) / mu(b) = chi1(B') chi2(pi B') chi1(B) chi2(pi B).  Exchanges at
-    b0 give mu outside B; exchanges with the first label u1 outside B give
-    the rest of B.
+    With B the first base and B' the base B with b replaced by u, a
+    witness pulls chi2 back to eps * chi1 on both, so mu(u) / mu(b) =
+    chi1(B') chi2(pi B') chi1(B) chi2(pi B).  Reordering B' flips both of
+    its factors alike, so B' is read sorted, b dropped and u, which lies
+    above B, appended.  Exchanges at b0 give mu outside B; exchanges with
+    the first label u1 outside B give the rest of B.
     """
-    labels, base = chi1.labels, chi1.labels[: chi1.rank]
-    ref = chi1(base) * chi2([perm[i] for i in base])
+    labels, r = chi1.labels, chi1.rank
+    base, outside = labels[:r], labels[r:]
+    plain = SignedBijection(perm, dict.fromkeys(perm, 1))
 
-    def ratio(b: int, u: int) -> int:
-        swapped = [u if i == b else i for i in base]
-        return chi1(swapped) * chi2([perm[i] for i in swapped]) * ref
+    def read(sub: Tuple[int, ...]) -> int:
+        return chi1.signs[sub] * chi2.pullback(plain, sub)
 
-    b0, outside = base[0], [u for u in labels if u not in base]
-    mu = {u: ratio(b0, u) for u in outside}
-    mu[b0] = 1
-    for b in base[1:]:
-        mu[b] = mu[outside[0]] * ratio(b, outside[0])
-    return SignedBijection(perm, mu)
+    ref, u1 = read(base), outside[0]
+    mu = {u: read(base[1:] + (u,)) * ref for u in outside}
+    for t in range(1, r):
+        mu[base[t]] = mu[u1] * read(base[:t] + base[t + 1 :] + (u1,)) * ref
+    mu[base[0]] = 1
+    return SignedBijection._of(plain.perm, {i: mu[i] for i in labels})
 
 
 def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBijection]:
@@ -264,7 +273,7 @@ def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBiject
     if ns1.n <= ns1.m:
         # no label lies outside a base, so every signed bijection works
         _enumerable(2**ns1.n * factorial(ns1.n))
-        return sorted(all_signed_bijections(ns1.labels), key=SignedBijection.key)
+        return list(all_signed_bijections(ns1.labels))
     return _witnesses(ns1.chirotope, ns2.chirotope)
 
 

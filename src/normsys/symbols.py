@@ -157,10 +157,8 @@ class SignedBijection(Frozen):
         return tuple(self.perm)
 
     def key(self) -> tuple:
-        return (
-            tuple(self.perm[i] for i in self.labels),
-            tuple(self.signs[i] for i in self.labels),
-        )
+        # both dicts are kept in sorted label order
+        return tuple(self.perm.values()), tuple(self.signs.values())
 
     def __hash__(self):
         return hash(self.key())
@@ -172,7 +170,7 @@ class SignedBijection(Frozen):
         return f"SignedBijection({self.perm}, {self.signs})"
 
     def negate(self) -> "SignedBijection":
-        return SignedBijection(self.perm, {i: -s for i, s in self.signs.items()})
+        return SignedBijection._of(self.perm, {i: -s for i, s in self.signs.items()})
 
     def compose(self, first: "SignedBijection") -> "SignedBijection":
         """self after first."""
@@ -189,11 +187,11 @@ class SignedBijection(Frozen):
 def all_signed_bijections(labels: Sequence[int]) -> Iterator[SignedBijection]:
     """Every signed bijection of the labels, one at a time: 2^n n! of them,
     too many to hold at once beyond n = 6; from sorted labels, so each is
-    built sorted and valid."""
+    built sorted and valid, and they come in increasing ``key`` order."""
     labels = sorted(labels)
     for images in permutations(labels):
         perm = dict(zip(labels, images))
-        for sv in product((1, -1), repeat=len(labels)):
+        for sv in product((-1, 1), repeat=len(labels)):
             yield SignedBijection._of(perm, dict(zip(labels, sv)))
 
 
@@ -235,13 +233,10 @@ def match_to_standard(cycle_map) -> List[SignedBijection]:
             matches.append(cand)
     if not matches:
         raise ValueError("cycles do not match any relabeling of the dictionary")
-    return sorted(matches, key=SignedBijection.key)
+    return matches
 
 
 def automorphisms(arr: AntipodalArrangement) -> List[SignedBijection]:
     """All convex positive bijections of a four-pair arrangement to itself."""
     chi = arr.chirotope
-    return sorted(
-        (w for w in all_signed_bijections(arr.labels) if pullback_sign(chi, chi, w)),
-        key=SignedBijection.key,
-    )
+    return [w for w in all_signed_bijections(arr.labels) if pullback_sign(chi, chi, w)]

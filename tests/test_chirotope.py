@@ -141,6 +141,30 @@ def test_dual_is_the_gale_transform(d):
             assert up_to_sign(dual.dual(), ns.chirotope)
 
 
+@pytest.mark.parametrize("d", [None, 5])
+def test_dual_matches_the_definition(d):
+    """chi*(T) = chi(T') sgn(T' + T), T' the sorted complement of T, with
+    the parity counted here by inversions, for r = 1..6 and n = r + 1..
+    r + 3 on labels with gaps, so positions and label values differ.  The
+    dual's bases are in sorted order, which ``zero`` and the early exit of
+    the witness check read."""
+    rng = random.Random(63 + (d or 0))
+    gapped = (2, 5, 7, 11, 13, 17, 19, 23, 29)
+    for r in range(1, 7):
+        for n in range(r + 1, r + 4):
+            ns = random_normal_system(rng, r, n, d)
+            labels = gapped[:n]
+            chi = Chirotope(r, dict(zip(labels, ns.vectors)))
+            dual = chi.dual()
+            assert (dual.rank, dual.labels) == (n - r, labels)
+            assert list(dual.signs) == sorted(dual.signs)
+            assert list(dual.signs) == list(combinations(labels, n - r))
+            for rest, s in dual.signs.items():
+                comp = tuple(q for q in labels if q not in rest)
+                inversions = sum(a > b for a, b in combinations(comp + rest, 2))
+                assert s == chi.signs[comp] * (-1) ** inversions
+
+
 def test_minor_count_guard(monkeypatch):
     """The expansion takes sum_{k <= r} C(n, k) minors, 2^21 - 2 for 21
     vectors in F^20: refused before any is computed.  At the limit the

@@ -242,6 +242,62 @@ def test_dual_route_matches_the_primal_search(m, n, d):
         assert got or b not in (planted, a)
 
 
+def _searched_pair(chi1, chi2):
+    """The chirotopes that ``_witnesses`` searches: the duals when their
+    rank is lower."""
+    if 2 * chi1.rank > len(chi1.labels):
+        return chi1.dual(), chi2.dual()
+    return chi1, chi2
+
+
+def _candidate_set(chi1, chi2, pin=None):
+    """The candidates of ``_candidates``, each of which it yields once,
+    as a set of sorted item tuples."""
+    got = [tuple(sorted(perm.items())) for perm in _candidates(chi1, chi2, pin)]
+    assert len(got) == len(set(got))
+    return set(got)
+
+
+CANDIDATE_SHAPES = [
+    (m, n) for m in range(2, 8) for n in range(m + 1, 11) if n - m > 1 or n <= 7
+]
+
+
+@pytest.mark.parametrize(
+    "m,n", CANDIDATE_SHAPES, ids=[f"m{m}-n{n}-{_searched(m, n)}" for m, n in CANDIDATE_SHAPES]
+)
+def test_candidates_match_reference_candidates(m, n):
+    """Planted, independent and self pairs at the rank that is searched:
+    the probe-first search yields each permutation once, and exactly the
+    set that the ordered-tuple generator yields.  Rank 1 (n = m + 1, n!
+    permutations) stops at n = 7."""
+    rng = random.Random(400 * m + n)
+    a = random_normal_system(rng, m, n)
+    planted = transformed_system(rng, a)
+    for b in (planted, random_normal_system(rng, m, n), a):
+        chi1, chi2 = _searched_pair(a.chirotope, b.chirotope)
+        got = _candidate_set(chi1, chi2)
+        assert got == {tuple(sorted(p.items())) for p in reference_candidates(chi1, chi2)}
+        assert got or b not in (planted, a)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pinned_candidates_match_reference_candidates(m):
+    """Lifts with e = n + 1 pinned, at the rank that is searched, as
+    ``ha-iso`` runs them: the same candidate set from both generators,
+    each candidate once."""
+    rng = random.Random(480 + m)
+    for n in range(m + 1, 9):
+        ha = random_arrangement(rng, m, n)
+        planted = planted_arrangement(rng, ha)
+        for hb in (planted, random_arrangement(rng, m, n), ha):
+            chi1, chi2 = _searched_pair(ha.lift.chirotope, hb.lift.chirotope)
+            got = _candidate_set(chi1, chi2, pin=n + 1)
+            want = reference_candidates(chi1, chi2, pin=n + 1)
+            assert got == {tuple(sorted(p.items())) for p in want}
+            assert got or hb not in (planted, ha)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_pinned_dual_route_matches_the_primal_search(m):
     """Lifts of rank m + 1 on n + 1 labels with e pinned, for every n with

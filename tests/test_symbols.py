@@ -106,6 +106,14 @@ def test_signed_bijections_are_generated(n):
     assert all(w.labels == labels for w in items)
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_signed_bijections_come_in_key_order(n):
+    # the oracles and the n <= m witness list return them in this order
+    keys = [w.key() for w in all_signed_bijections(range(n, 0, -1))]
+    assert len(keys) == 2**n * factorial(n)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_automorphism_group_of_standard():
     auts = automorphisms(standard_arrangement())
     assert len(auts) == 48
