@@ -125,8 +125,7 @@ class Region(Frozen):
     __slots__ = ("signs", "bounded")
 
     def __init__(self, signs: Sequence[int], bounded: bool):
-        object.__setattr__(self, "signs", tuple(signs))
-        object.__setattr__(self, "bounded", bounded)
+        self._set(tuple(signs), bounded)
 
     def __lt__(self, other):
         return (self.signs, self.bounded) < (other.signs, other.bounded)
@@ -251,7 +250,7 @@ class ConcurrencySignMap(Frozen):
     def __init__(self, signs: Dict[Tuple[int, ...], int]):
         if any(s not in (1, -1) for s in signs.values()):
             raise ValueError("sign map entries must be +-1")
-        object.__setattr__(self, "signs", dict(sorted(signs.items())))
+        self._set(dict(sorted(signs.items())))
 
     def __getitem__(self, key: Tuple[int, ...]) -> int:
         return self.signs[tuple(key)]

@@ -85,6 +85,15 @@ class InvalidObject(Exception):
         self.reason = reason
 
 
+def _load_required(kind, noun: str, *paths: str) -> list:
+    """Parse every file, then require each object to be a kind, named by noun."""
+    objs = [_load_object(path) for path in paths]
+    for path, obj in zip(paths, objs):
+        if not isinstance(obj, kind):
+            raise InvalidObject(path, f"expected {noun}")
+    return objs
+
+
 def _emit(args, payload: dict, text_lines):
     out = sys.stdout
     close = False
@@ -145,10 +154,7 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_ns_iso(args) -> int:
-    ns1, ns2 = _load_object(args.path1), _load_object(args.path2)
-    for path, ns in ((args.path1, ns1), (args.path2, ns2)):
-        if not isinstance(ns, NormalSystem):
-            raise InvalidObject(path, "expected a normal system")
+    ns1, ns2 = _load_required(NormalSystem, "a normal system", args.path1, args.path2)
     if args.oracle:
         witnesses = oracle_isomorphisms(ns1, ns2)
     else:
@@ -165,10 +171,9 @@ def cmd_ns_iso(args) -> int:
 
 
 def cmd_ha_iso(args) -> int:
-    ha1, ha2 = _load_object(args.path1), _load_object(args.path2)
-    for path, ha in ((args.path1, ha1), (args.path2, ha2)):
-        if not isinstance(ha, HyperplaneArrangement):
-            raise InvalidObject(path, "expected a hyperplane arrangement")
+    ha1, ha2 = _load_required(
+        HyperplaneArrangement, "a hyperplane arrangement", args.path1, args.path2
+    )
     if args.oracle:
         iso = arrangements.definition_oracle_isomorphic(ha1, ha2)
         payload = {"isomorphic": iso, "method": "definition-oracle"}
@@ -187,9 +192,7 @@ def cmd_ha_iso(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    ha = _load_object(args.path)
-    if not isinstance(ha, HyperplaneArrangement):
-        raise InvalidObject(args.path, "expected a hyperplane arrangement")
+    [ha] = _load_required(HyperplaneArrangement, "a hyperplane arrangement", args.path)
     total, bounded, unbounded = arrangements.region_counts(ha)
     predicted = arrangements.predicted_counts(ha.n, ha.m)
     formula_ok = (total, bounded, unbounded) == predicted
@@ -211,9 +214,7 @@ def cmd_regions(args) -> int:
 
 
 def cmd_signs(args) -> int:
-    ha = _load_object(args.path)
-    if not isinstance(ha, HyperplaneArrangement):
-        raise InvalidObject(args.path, "expected a hyperplane arrangement")
+    [ha] = _load_required(HyperplaneArrangement, "a hyperplane arrangement", args.path)
     smap = arrangements.concurrency_sign_map(ha)
     payload = smap.to_json_dict()
     lines = [f"{key}: {'+' if v > 0 else '-'}" for key, v in payload.items()]

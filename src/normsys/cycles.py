@@ -37,7 +37,7 @@ class LineCycle(Frozen):
         if labels:
             start = labels.index(min(labels))
             labels = labels[start:] + labels[:start]
-        object.__setattr__(self, "labels", labels)
+        self._set(labels)
 
     def __len__(self):
         return len(self.labels)
@@ -110,7 +110,7 @@ class CycleInvariantSet(Frozen):
     __slots__ = ("cycles",)
 
     def __init__(self, cycles: Dict[CycleKey, LineCycle]):
-        object.__setattr__(self, "cycles", dict(sorted(cycles.items())))
+        self._set(dict(sorted(cycles.items())))
 
     def __getitem__(self, key: CycleKey) -> LineCycle:
         return self.cycles[key]

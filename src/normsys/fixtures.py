@@ -47,9 +47,7 @@ class PaperFixture(Frozen):
     __slots__ = ("id", "kind", "payload")
 
     def __init__(self, fixture_id: str, kind: str, payload):
-        object.__setattr__(self, "id", fixture_id)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
+        self._set(fixture_id, kind, payload)
 
     def __repr__(self):
         return f"PaperFixture({self.id!r}, {self.kind!r})"
@@ -66,9 +64,8 @@ class Equation(Frozen):
     __slots__ = ("left", "right", "vector")
 
     def __init__(self, left, right, vector):
-        object.__setattr__(self, "left", tuple((int(c), int(i)) for c, i in left))
-        object.__setattr__(self, "right", tuple((int(c), int(i)) for c, i in right))
-        object.__setattr__(self, "vector", tuple(vector))
+        terms = [tuple((int(c), int(i)) for c, i in side) for side in (left, right)]
+        self._set(*terms, tuple(vector))
 
     def holds_for(self, ns: NormalSystem) -> bool:
         def side(terms):
@@ -124,8 +121,7 @@ class FixtureReport(Frozen):
     __slots__ = ("id", "diffs")
 
     def __init__(self, fixture_id: str, diffs: List[str]):
-        object.__setattr__(self, "id", fixture_id)
-        object.__setattr__(self, "diffs", tuple(diffs))
+        self._set(fixture_id, tuple(diffs))
 
     @property
     def ok(self) -> bool:

@@ -26,9 +26,7 @@ class Matrix(Frozen):
             w = len(rows[0])
             if any(len(r) != w for r in rows):
                 raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", len(rows[0]) if rows else 0)
+        self._set(rows, len(rows), len(rows[0]) if rows else 0)
 
     def __getitem__(self, ij):
         i, j = ij

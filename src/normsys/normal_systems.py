@@ -8,8 +8,8 @@ oracle over all signed bijections, and one search for every m that reads
 candidate permutations off the cyclic orders of lines in the rank-2
 contractions of the chirotope (the line cycles of the sphere arrangement),
 solves the signs from the chirotope and verifies the result against it.
-Isomorphism survives duality, so the search runs on the dual chirotope,
-of rank n - m, when that rank is lower.
+A signed bijection is a witness of chi iff it is one of the dual chi*, so
+the whole search runs on the duals, of rank n - m, when that rank is lower.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from .sphere import AntipodalArrangement, SpherePoint
 from .symbols import SignedBijection, all_signed_bijections
 
 # Where the shape alone fixes the witnesses, they are all enumerated: 2^n n!
-# with n <= m, 2 per permutation at searched rank 1.  The bound is n = 7.
+# with n <= m, 2 per permutation at searched rank 1.  The bound is n = 7, as
+# for the exhaustive oracle, which tries all 2^n n! signed bijections.
 MAX_WITNESSES = 2**7 * factorial(7)
+ORACLE_MAX_N = 7
 
 
 def _enumerable(count: int) -> None:
@@ -124,16 +126,14 @@ def is_convex_positive_bijection(
     return pullback_sign(ns1.chirotope, ns2.chirotope, w) != 0
 
 
-def oracle_isomorphisms(
-    ns1: NormalSystem, ns2: NormalSystem, max_n: int = 7
-) -> List[SignedBijection]:
+def oracle_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBijection]:
     """Ground truth by exhaustive search over all signed bijections."""
     if ns1.m != ns2.m:
         raise ValueError("ambient dimensions differ")
     if ns1.n != ns2.n:
         raise ValueError("system sizes differ")
-    if ns1.n > max_n:
-        raise ValueError(f"oracle limited to n <= {max_n}")
+    if ns1.n > ORACLE_MAX_N:
+        raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}")
     chi1, chi2 = ns1.chirotope, ns2.chirotope
     return [w for w in all_signed_bijections(ns1.labels) if pullback_sign(chi1, chi2, w)]
 
@@ -228,41 +228,41 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
 def _solve_signs(
     chi1: Chirotope, chi2: Chirotope, perm: Dict[int, int]
 ) -> SignedBijection:
-    """The sign vector mu with mu(b0) = +1 that makes (perm, mu) a witness,
-    if any sign vector does.
+    """The witness (perm, mu) with mu(b0) = +1, in label order, if any
+    sign vector makes perm one.
 
     With B the first base and B' the base B with b replaced by u, a
     witness pulls chi2 back to eps * chi1 on both, so mu(u) / mu(b) =
     chi1(B') chi2(pi B') chi1(B) chi2(pi B).  Reordering B' flips both of
     its factors alike, so B' is read sorted, b dropped and u, which lies
-    above B, appended.  Exchanges at b0 give mu outside B; exchanges with
-    the first label u1 outside B give the rest of B.
+    above B, appended, and chi2 on its images in that order.  Exchanges
+    at b0 give mu outside B; exchanges with u1, the first label outside
+    B, give the rest of B.
     """
     labels, r = chi1.labels, chi1.rank
     base, outside = labels[:r], labels[r:]
-    plain = SignedBijection(perm, dict.fromkeys(perm, 1))
 
     def read(sub: Tuple[int, ...]) -> int:
-        return chi1.signs[sub] * chi2.pullback(plain, sub)
+        return chi1.signs[sub] * chi2([perm[i] for i in sub])
 
     ref, u1 = read(base), outside[0]
     mu = {u: read(base[1:] + (u,)) * ref for u in outside}
     for t in range(1, r):
         mu[base[t]] = mu[u1] * read(base[:t] + base[t + 1 :] + (u1,)) * ref
     mu[base[0]] = 1
-    return SignedBijection._of(plain.perm, {i: mu[i] for i in labels})
+    return SignedBijection._of({i: perm[i] for i in labels}, {i: mu[i] for i in labels})
 
 
 def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBijection]:
     """All isomorphism witnesses, read off the two chirotopes.
 
-    Candidate permutations align the contraction orders by (r-2)-subsets
-    of chi, or of its dual, whichever has the lower rank r (all
-    permutations when r = 1); the signs are solved from chi by single
-    exchanges, and a candidate is kept iff it pulls chi2 back to +-chi1.
-    Validity of the inputs also comes from chi.  Returns the empty list
-    exactly when the systems are not isomorphic; raises ValueError when
-    the shape fixes more than MAX_WITNESSES witnesses.
+    All of the search runs on chi, or on its dual if that has the lower
+    rank r: candidates align the contraction orders by (r-2)-subsets (all
+    permutations when r = 1), the signs are solved by single exchanges,
+    and a candidate is kept iff it pulls chi2 back to +-chi1.  Validity
+    comes from chi.  Returns the empty list exactly when the systems are
+    not isomorphic; raises ValueError when the shape fixes more than
+    MAX_WITNESSES witnesses.
     """
     if ns1.m != ns2.m:
         raise ValueError("ambient dimensions differ")
@@ -282,13 +282,12 @@ def _witnesses(chi1: Chirotope, chi2: Chirotope, pin=None) -> List[SignedBijecti
     their rank, sorted; with a pin label, every witness that fixes it.
 
     chi2(pi B) mu(B) = eps chi1(B) on every base B gives chi2*(pi T) mu(T)
-    = eps sgn(pi) prod(mu) chi1*(T), so the duals have the same witness
-    permutations and are searched when their rank is lower; the signs are
-    solved and checked on chi1 and chi2 themselves.
+    = eps sgn(pi) prod(mu) chi1*(T), so the duals have the same witnesses;
+    when their rank is lower, the duals are the pair searched.
     """
-    lower = 2 * chi1.rank > len(chi1.labels)
-    searched = (chi1.dual(), chi2.dual()) if lower else (chi1, chi2)
-    return _accepted(chi1, chi2, _candidates(*searched, pin))
+    if 2 * chi1.rank > len(chi1.labels):
+        chi1, chi2 = chi1.dual(), chi2.dual()
+    return _accepted(chi1, chi2, _candidates(chi1, chi2, pin))
 
 
 def _accepted(chi1: Chirotope, chi2: Chirotope, candidates) -> List[SignedBijection]:
@@ -296,8 +295,8 @@ def _accepted(chi1: Chirotope, chi2: Chirotope, candidates) -> List[SignedBiject
     found = set()
     for perm in candidates:
         w = _solve_signs(chi1, chi2, perm)
-        # negating mu scales the pulled-back chirotope by (-1)^m, so w and
-        # w.negate() pass or fail together
+        # negating mu scales the pulled-back chirotope by (-1)^rank, so w
+        # and w.negate() pass or fail together
         if pullback_sign(chi1, chi2, w):
             found.update((w, w.negate()))
     return sorted(found, key=SignedBijection.key)

@@ -36,7 +36,7 @@ class SpherePoint(Frozen):
         scale = abs(lead)
         if scale != 1:
             v = tuple(x / scale for x in v)
-        object.__setattr__(self, "rep", v)
+        self._set(v)
 
     @property
     def dim(self) -> int:
@@ -58,7 +58,7 @@ class PositiveCombination(Frozen):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence[FieldValue]):
-        object.__setattr__(self, "coefficients", tuple(coefficients))
+        self._set(tuple(coefficients))
 
     @property
     def signs(self) -> Tuple[int, ...]:

@@ -27,8 +27,7 @@ class Symbol(Frozen):
         lines = {abs(head)} | {abs(t) for t in triple}
         if 0 in lines or len(lines) != 4:
             raise ValueError(f"symbol needs four distinct lines: {head}->{triple}")
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "triple", triple)
+        self._set(head, triple)
 
     def __lt__(self, other):
         return (self.head, self.triple) < (other.head, other.triple)
@@ -149,8 +148,7 @@ class SignedBijection(Frozen):
             raise ValueError("not a permutation of the label set")
         if any(s not in (1, -1) for s in signs.values()):
             raise ValueError("signs must be +-1")
-        object.__setattr__(self, "perm", dict(sorted(perm.items())))
-        object.__setattr__(self, "signs", dict(sorted(signs.items())))
+        self._set(dict(sorted(perm.items())), dict(sorted(signs.items())))
 
     @property
     def labels(self) -> Tuple[int, ...]:
@@ -187,12 +185,14 @@ class SignedBijection(Frozen):
 def all_signed_bijections(labels: Sequence[int]) -> Iterator[SignedBijection]:
     """Every signed bijection of the labels, one at a time: 2^n n! of them,
     too many to hold at once beyond n = 6; from sorted labels, so each is
-    built sorted and valid, and they come in increasing ``key`` order."""
+    built sorted and valid, and they come in increasing ``key`` order.  The
+    permutation dicts and the 2^n sign dicts are built once and shared."""
     labels = sorted(labels)
+    signs = [dict(zip(labels, sv)) for sv in product((-1, 1), repeat=len(labels))]
     for images in permutations(labels):
         perm = dict(zip(labels, images))
-        for sv in product((-1, 1), repeat=len(labels)):
-            yield SignedBijection._of(perm, dict(zip(labels, sv)))
+        for sv in signs:
+            yield SignedBijection._of(perm, sv)
 
 
 STANDARD_DICTIONARY: Dict[Tuple[int, int], Tuple[int, ...]] = {

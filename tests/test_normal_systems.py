@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -19,9 +20,11 @@ from normsys import (
     positive_combination,
 )
 from normsys import normal_systems
+from normsys.arrangements import arrangements_isomorphic
 from normsys.chirotope import Chirotope, pullback_sign
 from normsys.cycles import contraction_order
 from normsys.normal_systems import (
+    MAX_WITNESSES,
     _accepted,
     _aligned,
     _candidates,
@@ -314,6 +317,37 @@ def test_pinned_dual_route_matches_the_primal_search(m):
             assert got or hb not in (planted, ha)
 
 
+def _record_ranks(monkeypatch, name, calls):
+    """Patch normal_systems.name to log the ranks of the two chirotopes it
+    receives."""
+    inner = getattr(normal_systems, name)
+
+    def recorded(chi1, chi2, arg):
+        calls.append((name, chi1.rank, chi2.rank))
+        return inner(chi1, chi2, arg)
+
+    monkeypatch.setattr(normal_systems, name, recorded)
+
+
+@pytest.mark.parametrize("m,n", [(3, 4), (5, 7), (6, 8), (6, 9)])
+def test_search_stays_in_the_searched_space(monkeypatch, m, n):
+    """With 2m > n the signs are solved and checked on the chirotopes of
+    rank n - m that the candidates came from: on a planted pair, and on
+    the lifts (rank m, n labels, e pinned) of a planted arrangement pair."""
+    rng = random.Random(700 + 10 * m + n)
+    a = random_normal_system(rng, m, n)
+    ha = random_arrangement(rng, m - 1, n - 1)
+    calls = []
+    for name in ("_solve_signs", "pullback_sign"):
+        _record_ranks(monkeypatch, name, calls)
+    assert find_isomorphisms(a, transformed_system(rng, a))
+    unpinned = len(calls)
+    assert arrangements_isomorphic(ha, planted_arrangement(rng, ha)).isomorphic
+    for part in (calls[:unpinned], calls[unpinned:]):
+        assert {name for name, _, _ in part} == {"_solve_signs", "pullback_sign"}
+    assert {(r1, r2) for _, r1, r2 in calls} == {(n - m, n - m)}
+
+
 def test_rank_one_candidates_fix_the_pin():
     """The dual of a lift with n = m + 1 has rank 1, so the rank-1
     candidates must fix a pin too: (n - 1)! of the n! permutations."""
@@ -414,7 +448,7 @@ def test_mismatched_shapes_rejected():
 def test_oracle_size_guard():
     rng = random.Random(31)
     big = random_normal_system(rng, 2, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="oracle limited to n <= 7"):
         oracle_isomorphisms(big, big)
 
 
@@ -450,6 +484,34 @@ def test_witness_guard_counts(monkeypatch):
         monkeypatch.setattr(normal_systems, "MAX_WITNESSES", count - 1)
         with pytest.raises(ValueError, match=f"enumerate {count} witnesses"):
             search()
+
+
+def test_witness_enumeration_limit():
+    """(7, 7), the largest shape the guard admits: all 2^7 7! = 645,120
+    signed bijections, each once, in strictly increasing ``key`` order."""
+    a = unit_system(7, 7)
+    witnesses = find_isomorphisms(a, a)
+    assert len(witnesses) == MAX_WITNESSES == 645_120
+    prev = witnesses[0].key()
+    for w in witnesses[1:]:
+        key = w.key()
+        assert prev < key
+        prev = key
+
+
+def test_witness_enumeration_memory():
+    """The 46,080 witnesses at (6, 6) share their permutation and sign
+    dicts: the traced peak stays under 8 MB (about 2.9 MB), where a sign
+    dict per witness takes about 19 MB."""
+    a = unit_system(6, 6)
+    tracemalloc.start()
+    try:
+        witnesses = find_isomorphisms(a, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(witnesses) == 2**6 * factorial(6)
+    assert peak < 8_000_000
 
 
 def _coefficient_signs(ns):
