@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations, product
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .chirotope import _inserted, scaled_minors
+from .chirotope import scaled_minors
 from .field import FieldValue, format_value, parse_value, sign
 from .frozen import Frozen
 from .linalg import Matrix
@@ -134,22 +135,47 @@ class Region(Frozen):
         return f"Region({list(self.signs)}, bounded={self.bounded})"
 
 
-def _vertex_sides(ha: HyperplaneArrangement):
-    """The lift's signs and side(B, h) = sign(a_h . v_B - c_h) for the
-    vertex v_B of a sorted m-subset B and a label h outside it: subtracting
+def _sides(ha: HyperplaneArrangement):
+    """The vertex sides as bit masks, in one pass over the lift's chi.
+
+    Label h is bit 1 << (n - h), so masks order as the sign vectors do (a
+    set bit for +1, label 1 most significant).  Bit h of plus[B], B a sorted
+    m-subset, is sign(a_h . v_B - c_h) > 0 at the vertex v_B: subtracting
     A_B v_B from the last column of the rows (a_i | c_i), i in B then h,
-    leaves det(A_B) (c_h - a_h . v_B), so side = -chi(B, e) chi(B, h)."""
-    signs, e = ha.lift.chirotope.signs, (ha.n + 1,)
-    return signs, lambda base, h: -signs[base + e] * _inserted(signs, base, h)
+    leaves det(A_B) (c_h - a_h . v_B), so that sign is -chi(B, e) chi(B, h).
+    Bit h of ray[L], L a sorted (m-1)-subset, is chi(L, h, e) > 0: the
+    cocircuit of the line L cuts out.  chi(B, h) is chi of B + h sorted,
+    negated once per label of B above h; ``combinations`` drops the labels
+    from the last, so the negation alternates.  Raises ValueError on the
+    first zero sign.
+    """
+    signs, n, m = ha.lift.chirotope.signs, ha.n, ha.m
+    e = (n + 1,)
+    plus = dict.fromkeys(combinations(ha.labels, m), 0)
+    ray = dict.fromkeys(combinations(ha.labels, m - 1), 0)
+    for sub, s in signs.items():
+        if not s:
+            bad = tuple(h for h in sub if h <= n)
+            raise ValueError(f"hyperplanes {bad} are not in general position")
+        if sub[-1] > n:
+            base = sub[:-1]
+            for line, h in zip(combinations(base, m - 1), reversed(base)):
+                if s > 0:
+                    ray[line] |= 1 << (n - h)
+                s = -s
+        else:
+            for base, h in zip(combinations(sub, m), reversed(sub)):
+                if signs[base + e] != s:
+                    plus[base] |= 1 << (n - h)
+                s = -s
+    return plus, ray
 
 
-def _fills(free: Sequence[int], pattern: list) -> set:
-    """Every sign vector equal to pattern off the labels in free."""
-    out = set()
-    for choice in product((-1, 1), repeat=len(free)):
-        for i, s in zip(free, choice):
-            pattern[i - 1] = s
-        out.add(tuple(pattern))
+def _submasks(labels: Sequence[int], n: int) -> List[int]:
+    """The masks of every subset of these labels, that of all of them last."""
+    out = [0]
+    for h in labels:
+        out += [x | 1 << (n - h) for x in out]
     return out
 
 
@@ -157,22 +183,33 @@ def enumerate_regions(ha: HyperplaneArrangement) -> List[Region]:
     """All regions, sorted, with exact boundedness.
 
     In general position with n >= m every region has a vertex v_B, so the
-    regions are the vertex sides off B with all 2^m signs on B.  A region is
-    unbounded iff its recession cone has an extreme ray: a cocircuit
-    +-(chi_A(L, h))_h of an (m-1)-subset L that agrees with its signs off L.
-    With n < m every sign vector is an unbounded region.
+    regions are the masks plus[B] of ``_sides`` with any bits of B set.  A
+    region is unbounded iff its recession cone has an extreme ray: ray[L]
+    or its negation, off an (m-1)-subset L, agrees with its signs off L.
+    Regions are sorted as masks; ``product`` lists sign vectors in mask
+    order, so the high and low halves of a mask index its vector's.  With
+    n < m every sign vector is an unbounded region.  Raises ValueError on
+    input not in general position.
     """
-    labels, m = ha.labels, ha.m
-    if ha.n < m:
-        return sorted(Region(s, False) for s in product((-1, 1), repeat=ha.n))
-    (signs, side), e = _vertex_sides(ha), (ha.n + 1,)
+    n, k = ha.n, ha.n // 2
+    if n < ha.m:
+        if not ha.is_valid():
+            raise ValueError(_INVALID)
+        return [Region._of(s, False) for s in product((-1, 1), repeat=n)]
+    (plus, ray), full = _sides(ha), (1 << n) - 1
+    high, low = list(product((-1, 1), repeat=n - k)), list(product((-1, 1), repeat=k))
+    free = {line: _submasks(line, n) for line in ray}
     regions, unbounded = set(), set()
-    for base in combinations(labels, m):
-        regions |= _fills(base, [0 if h in base else side(base, h) for h in labels])
-    for line in combinations(labels, m - 1):
-        ray = [0 if h in line else _inserted(signs, line, h, e) for h in labels]
-        unbounded |= _fills(line, ray) | _fills(line, [-s for s in ray])
-    return sorted(Region(s, s not in unbounded) for s in regions)
+    for base, p in plus.items():  # B's subsets: B[:-1]'s, with or without B[-1]
+        f = free[base[:-1]]
+        regions.update(map(p.__or__, f), map((p | 1 << (n - base[-1])).__or__, f))
+    for line, r in ray.items():
+        f = free[line]
+        unbounded.update(map(r.__or__, f), map((full ^ r ^ f[-1]).__or__, f))
+    return [
+        Region._of(high[x >> k] + low[x & (1 << k) - 1], x not in unbounded)
+        for x in sorted(regions)
+    ]
 
 
 def region_counts(ha: HyperplaneArrangement) -> Tuple[int, int, int]:
@@ -233,13 +270,15 @@ def is_simplex_polyhedrality(
     subset = tuple(sorted(subset))
     if len(subset) != ha.m + 1 or not set(subset) <= set(ha.labels):
         raise ValueError("subset must be m + 1 distinct hyperplane labels")
-    _, side = _vertex_sides(ha)
-    for h in ha.labels:
-        if h not in subset:
-            sides = {side(tuple(j for j in subset if j != i), h) for i in subset}
-            if 0 in sides or len(sides) > 1:
-                return False
-    return True
+    return _bounds_region(_sides(ha)[0], subset, ha.n)
+
+
+def _bounds_region(plus: dict, subset: Tuple[int, ...], n: int) -> bool:
+    """True iff the AND and the OR of the side masks of the sorted
+    subset's vertices agree off the subset."""
+    sides = [plus[subset[:j] + subset[j + 1 :]] for j in range(len(subset))]
+    split = reduce(operator.and_, sides) ^ reduce(operator.or_, sides)
+    return not split & ~sum(1 << (n - h) for h in subset)
 
 
 class ConcurrencySignMap(Frozen):
@@ -476,8 +515,8 @@ def cone_facets(ha: HyperplaneArrangement) -> List[Tuple[int, ...]]:
     extreme rays of the cone of all v_T, so the other polyhedralities
     decide S as all walls would.
     """
-    walls, m = _circuits(ha), ha.m
-    polys = [sub for sub in walls if is_simplex_polyhedrality(ha, sub)]
+    walls, m, (plus, _) = _circuits(ha), ha.m, _sides(ha)
+    polys = [sub for sub in walls if _bounds_region(plus, sub, ha.n)]
     return [
         sub
         for sub in polys
@@ -514,27 +553,25 @@ def is_infinity_arrangement(
     ha: HyperplaneArrangement,
 ) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Search for an ordering in which every hyperplane is beyond all
-    vertices of the ones placed before it (strictly on one common side)."""
-    _, side = _vertex_sides(ha)
-
-    def addable(built: frozenset, h: int) -> bool:
-        sides = {side(sub, h) for sub in combinations(sorted(built), ha.m)}
-        return 0 not in sides and len(sides) <= 1
-
-    dead = set()
+    vertices of the ones placed before it (strictly on one common side):
+    h may follow the placed set iff the AND and the OR of the side masks of
+    its m-subsets agree on h.  Raises ValueError on input not in general
+    position."""
+    plus, n, dead = _sides(ha)[0], ha.n, set()
 
     def extend(built: frozenset, order: Tuple[int, ...]):
-        if len(order) == ha.n:
+        if len(order) == n:
             return order
         if built in dead:
             return None
+        sides = [plus[sub] for sub in combinations(sorted(built), ha.m)]
+        split = reduce(operator.and_, sides) ^ reduce(operator.or_, sides) if sides else 0
         for h in ha.labels:
-            if h in built:
+            if h in built or split >> (n - h) & 1:
                 continue
-            if addable(built, h):
-                res = extend(built | {h}, order + (h,))
-                if res is not None:
-                    return res
+            res = extend(built | {h}, order + (h,))
+            if res is not None:
+                return res
         dead.add(built)
         return None
 

@@ -31,9 +31,9 @@ from normsys import (
     simplex_orientation_check,
     sign,
 )
-from normsys import fm
-from normsys.chirotope import Chirotope, pullback_sign
-from normsys.arrangements import _vertex_sides
+from normsys import arrangements, fm
+from normsys.chirotope import Chirotope, _inserted, pullback_sign
+from normsys.arrangements import _sides
 from conftest import (
     random_arrangement,
     planted_arrangement,
@@ -74,6 +74,36 @@ def test_region_counts_three_lines():
     regions = enumerate_regions(ha)
     assert len(regions) == 7
     assert sum(1 for r in regions if r.bounded) == 1
+
+
+def test_input_not_in_general_position_is_rejected():
+    concurrent = HyperplaneArrangement(2, [[1, 0], [0, 1], [1, 1]], [0, 0, 0], check=False)
+    parallel = HyperplaneArrangement(2, [[1, 0], [1, 0], [0, 1]], [0, 1, 0], check=False)
+    for ha, bad in ((concurrent, r"\(1, 2, 3\)"), (parallel, r"\(1, 2\)")):
+        for call in (region_counts, is_infinity_arrangement):
+            with pytest.raises(ValueError, match=bad + " are not in general position"):
+                call(ha)
+        with pytest.raises(ValueError, match=bad):
+            is_simplex_polyhedrality(ha, (1, 2, 3))
+    # below n = m the lift has no bases: dependent normals fail validation
+    planes = HyperplaneArrangement(3, [[1, 0, 0], [1, 0, 0]], [0, 1], check=False)
+    with pytest.raises(ValueError, match="not a general-position"):
+        region_counts(planes)
+
+
+def test_region_counts_reads_the_module_enumeration(monkeypatch):
+    # the regions benchmark replaces this global to check every region
+    calls = []
+    regions = [Region((1, 1), True), Region((1, -1), False), Region((-1, 1), False)]
+
+    def enumerate_once(ha):
+        calls.append(ha)
+        return regions
+
+    monkeypatch.setattr(arrangements, "enumerate_regions", enumerate_once)
+    ha = three_lines()
+    assert region_counts(ha) == (3, 1, 2)
+    assert len(calls) == 1 and calls[0] is ha
 
 
 def test_region_counts_random():
@@ -121,6 +151,35 @@ def _region_bounded(ha, signs):
     return True
 
 
+def _fills(free, pattern):
+    """Every sign vector equal to pattern off the labels in free."""
+    out = set()
+    for choice in product((-1, 1), repeat=len(free)):
+        for i, s in zip(free, choice):
+            pattern[i - 1] = s
+        out.add(tuple(pattern))
+    return out
+
+
+def reference_regions(ha):
+    """Reference for ``enumerate_regions`` with one tuple per candidate: the
+    vertex sides -chi(B, e) chi(B, h) of each m-subset B with all 2^m signs
+    on B, unbounded iff some cocircuit chi(L, h, e) of an (m-1)-subset L or
+    its negation matches off L; the Regions sorted."""
+    labels, m = ha.labels, ha.m
+    if ha.n < m:
+        return sorted(Region(s, False) for s in product((-1, 1), repeat=ha.n))
+    signs, e = ha.lift.chirotope.signs, (ha.n + 1,)
+    regions, unbounded = set(), set()
+    for base in combinations(labels, m):
+        sides = [0 if h in base else -signs[base + e] * _inserted(signs, base, h) for h in labels]
+        regions |= _fills(base, sides)
+    for line in combinations(labels, m - 1):
+        ray = [0 if h in line else _inserted(signs, line, h, e) for h in labels]
+        unbounded |= _fills(line, ray) | _fills(line, [-s for s in ray])
+    return sorted(Region(s, s not in unbounded) for s in regions)
+
+
 def fm_regions(ha):
     """Oracle: Fourier-Motzkin feasibility of every one of the 2^n sign
     vectors, and boundedness from the recession cone."""
@@ -137,7 +196,7 @@ def test_regions_match_fm_oracle(d):
     for m in (1, 2, 3):
         for n in range(8):
             ha = random_arrangement(rng, m, n, d)
-            assert enumerate_regions(ha) == fm_regions(ha), (m, n, d)
+            assert enumerate_regions(ha) == reference_regions(ha) == fm_regions(ha), (m, n, d)
 
 
 def grown_arrangement(rng, m, n, d=None):
@@ -162,16 +221,20 @@ def grown_arrangement(rng, m, n, d=None):
 def test_region_counts_beyond_ten_hyperplanes():
     rng = random.Random(49)
     for m, n in ((2, 14), (3, 12)):
-        assert region_counts(grown_arrangement(rng, m, n)) == predicted_counts(n, m)
+        ha = grown_arrangement(rng, m, n)
+        assert region_counts(ha) == predicted_counts(n, m)
+        assert enumerate_regions(ha) == reference_regions(ha)
 
 
 @pytest.mark.parametrize("d", [2, 5])
 def test_quadratic_region_counts_beyond_the_oracle(d):
-    # the FM oracle stops at n = 7; these sizes rest on the formula alone
+    # the FM oracle stops at n = 7; these sizes rest on the formula and
+    # on the reference enumeration
     rng = random.Random(70 + d)
     for m, n in ((2, 10), (3, 9)):
         ha = grown_arrangement(rng, m, n, d)
         assert region_counts(ha) == predicted_counts(n, m)
+        assert enumerate_regions(ha) == reference_regions(ha)
 
 
 def test_planted_quadratic_arrangement_isomorphic():
@@ -185,19 +248,80 @@ def test_planted_quadratic_arrangement_isomorphic():
     )
 
 
+def solved_sides(ha):
+    """sign(a_h . v_B - c_h) for every m-subset B and label h outside it,
+    at the vertex v_B solved for."""
+    sides = {}
+    for base in combinations(ha.labels, ha.m):
+        v = vertex_of(ha, base)
+        for h in ha.labels:
+            if h not in base:
+                lhs = sum(a * x for a, x in zip(ha.row(h), v))
+                sides[base, h] = sign(lhs - ha.constant(h))
+    return sides
+
+
 @pytest.mark.parametrize("d", [None, 2])
 def test_vertex_sides_match_solved_vertices(d):
     rng = random.Random(50 + (d or 0))
     for _ in range(10):
         m = rng.randint(1, 3)
         ha = random_arrangement(rng, m, rng.randint(m + 1, 6), d)
-        _, side = _vertex_sides(ha)
-        for base in combinations(ha.labels, m):
-            v = vertex_of(ha, base)
-            for h in ha.labels:
-                if h not in base:
-                    lhs = sum(a * x for a, x in zip(ha.row(h), v))
-                    assert side(base, h) == sign(lhs - ha.constant(h))
+        plus, _ = _sides(ha)
+        want = {base: 0 for base in combinations(ha.labels, m)}
+        for (base, h), s in solved_sides(ha).items():
+            want[base] |= (s > 0) << (ha.n - h)
+        assert plus == want
+
+
+def reference_polyhedrality(ha, sides, subset) -> bool:
+    return all(
+        len({sides[tuple(j for j in subset if j != i), h] for i in subset}) == 1
+        for h in ha.labels
+        if h not in subset
+    )
+
+
+def reference_infinity_arrangement(ha, sides):
+    """The ordering search of ``is_infinity_arrangement``, in the same label
+    order, on sides read off solved vertices."""
+    dead = set()
+
+    def extend(built, order):
+        if len(order) == ha.n:
+            return order
+        if built in dead:
+            return None
+        for h in ha.labels:
+            if h in built:
+                continue
+            if len({sides[sub, h] for sub in combinations(sorted(built), ha.m)}) <= 1:
+                res = extend(built | {h}, order + (h,))
+                if res is not None:
+                    return res
+        dead.add(built)
+        return None
+
+    result = extend(frozenset(), ())
+    return result is not None, result
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+def test_polyhedralities_match_solved_vertices(d):
+    rng = random.Random(80 + (d or 0))
+    found = set()
+    for m in (1, 2, 3):
+        for n in range(m + 1, 9):
+            ha = random_arrangement(rng, m, n, d)
+            sides = solved_sides(ha)
+            for sub in combinations(ha.labels, m + 1):
+                want = reference_polyhedrality(ha, sides, sub)
+                assert is_simplex_polyhedrality(ha, sub) == want, (m, n, sub)
+                found.add(("polyhedrality", want))
+            got = is_infinity_arrangement(ha)
+            assert got == reference_infinity_arrangement(ha, sides), (m, n)
+            found.add(("infinity", got[0]))
+    assert len(found) == 4
 
 
 def test_standard_simplex_orientation():
