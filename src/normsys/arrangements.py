@@ -1,12 +1,13 @@
 """Hyperplane arrangements in general position.
 
 Covers validation, region enumeration with boundedness, orientation
-checks of simplices, concurrency sign maps and the sign-map isomorphism
-decision, single cone moves of the constants vector, and the
-hyperplane-at-infinity ordering search.  All but the cone LPs are read
-off one chirotope, of the lift: the rows (a_i | c_i) and e = (0, ..., 0, 1).
-Isomorphism is the normal-system decider on the lifts with e fixed.  Cone
-facets and moves are exact LPs over the wall circuits of the normals.
+checks of simplices, polyhedralities, the sign-map isomorphism decision,
+single cone moves of the constants vector, and the hyperplane-at-infinity
+ordering search.  All but the cone LPs are read off one chirotope, of the
+lift: the rows (a_i | c_i) and e = (0, ..., 0, 1).  The concurrency sign
+map is its deletion of e, chi_hom, itself a ``Chirotope``.  Isomorphism is
+the normal-system decider on the lifts with e fixed.  Cone facets and
+moves are exact LPs over the wall circuits of the normals.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .chirotope import scaled_minors
+from .chirotope import Chirotope, scaled_minors
 from .field import FieldValue, format_value, parse_value, sign
 from .frozen import Frozen
 from .linalg import Matrix
@@ -98,12 +99,12 @@ class HyperplaneArrangement(Frozen):
         return f"HyperplaneArrangement(m={self.m}, n={self.n})"
 
 
-def _concurrency_signs(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], int]:
-    """chi_hom, the lift's signs on the (m+1)-subsets without e; raises on
-    the first concurrent one."""
-    e = ha.n + 1
-    hom = {sub: s for sub, s in ha.lift.chirotope.signs.items() if sub[-1] != e}
-    bad = next((sub for sub, s in hom.items() if s == 0), None)
+def concurrency_sign_map(ha: HyperplaneArrangement) -> Chirotope:
+    """chi_hom, the lift's signs on the (m+1)-subsets S without e: those of
+    det(rows (a_i | c_i), i in S).  Raises ValueError on a concurrent S."""
+    e, signs = ha.n + 1, ha.lift.chirotope.signs
+    hom = Chirotope._of(ha.m + 1, ha.labels, {s: signs[s] for s in signs if s[-1] != e})
+    bad = hom.zero()
     if bad is not None:
         raise ValueError(f"hyperplanes {bad} are concurrent")
     return hom
@@ -262,13 +263,18 @@ def simplex_orientation_check(
     return vertex_orientation(verts), ha.lift.chirotope.signs[ha.labels]
 
 
-def is_simplex_polyhedrality(
-    ha: HyperplaneArrangement, subset: Sequence[int]
-) -> bool:
+def polyhedralities(ha: HyperplaneArrangement) -> List[Tuple[int, ...]]:
+    """Every sorted (m+1)-subset that ``is_simplex_polyhedrality`` accepts,
+    off one side table."""
+    plus, n = _sides(ha)[0], ha.n
+    return [s for s in combinations(ha.labels, ha.m + 1) if _bounds_region(plus, s, n)]
+
+
+def is_simplex_polyhedrality(ha: HyperplaneArrangement, subset: Sequence[int]) -> bool:
     """True iff the bounded simplex of these m+1 hyperplanes is a region of
     the whole arrangement: no other hyperplane separates its vertices."""
     subset = tuple(sorted(subset))
-    if len(subset) != ha.m + 1 or not set(subset) <= set(ha.labels):
+    if len(set(subset)) != ha.m + 1 or not set(subset) <= set(ha.labels):
         raise ValueError("subset must be m + 1 distinct hyperplane labels")
     return _bounds_region(_sides(ha)[0], subset, ha.n)
 
@@ -281,47 +287,13 @@ def _bounds_region(plus: dict, subset: Tuple[int, ...], n: int) -> bool:
     return not split & ~sum(1 << (n - h) for h in subset)
 
 
-class ConcurrencySignMap(Frozen):
-    """Sign of the bordered determinant for every (m+1)-subset."""
-
-    __slots__ = ("signs",)
-
-    def __init__(self, signs: Dict[Tuple[int, ...], int]):
-        if any(s not in (1, -1) for s in signs.values()):
-            raise ValueError("sign map entries must be +-1")
-        self._set(dict(sorted(signs.items())))
-
-    def __getitem__(self, key: Tuple[int, ...]) -> int:
-        return self.signs[tuple(key)]
-
-    def __iter__(self):
-        return iter(self.signs.items())
-
-    def __len__(self):
-        return len(self.signs)
-
-    def to_json_dict(self) -> dict:
-        return {",".join(map(str, k)): v for k, v in self.signs.items()}
-
-
-def concurrency_sign_map(ha: HyperplaneArrangement) -> ConcurrencySignMap:
-    return ConcurrencySignMap(_concurrency_signs(ha))
-
-
-def induced_sign_map(
-    ha2: HyperplaneArrangement, w: SignedBijection
-) -> ConcurrencySignMap:
-    """Sign map of ha2 pulled back through the signed bijection.
-
-    Keyed by source subsets: entry for {i_1 < ... < i_{m+1}} is the sign of
-    the determinant with rows mu(i) * (a2_{pi(i)} | c2_{pi(i)}) in source
-    order.
-    """
-    _concurrency_signs(ha2)
-    chi = ha2.lift.chirotope
-    return ConcurrencySignMap(
-        {sub: chi.pullback(w, sub) for sub in combinations(sorted(w.labels), ha2.m + 1)}
-    )
+def induced_sign_map(ha2: HyperplaneArrangement, w: SignedBijection) -> Chirotope:
+    """chi_hom of ha2 pulled back through the signed bijection, on w's
+    labels: the entry of sorted S is the sign of the determinant with rows
+    mu(i) * (a2_pi(i) | c2_pi(i)), i in S in order."""
+    hom, labels = concurrency_sign_map(ha2), tuple(sorted(w.labels))
+    signs = {sub: hom.pullback(w, sub) for sub in combinations(labels, hom.rank)}
+    return Chirotope._of(hom.rank, labels, signs)
 
 
 class IsoResult(Frozen):
@@ -341,18 +313,19 @@ def arrangements_isomorphic(
 ) -> IsoResult:
     """Decide isomorphism through the sign-map criterion.
 
-    A normal-system witness is accepted when the pulled-back sign map agrees
-    with ha1's on every key (branch "a") or is negated on every key (branch
-    "b"); the alternative is global, not per key.  These are the lifts'
-    witnesses that fix e, restricted to 1..n (the sign of e absorbs the
-    branch).  The first sorted one is returned, its branch read off the
-    bases without e; with none (n <= m) every witness has branch "a".
+    A normal-system witness w is accepted when pullback_sign(chi_hom1,
+    chi_hom2, w) != 0: w pulls chi_hom2 back to chi_hom1 (branch "a") or to
+    its negation ("b").  These are the lifts' witnesses that fix e, on 1..n
+    (the sign of e absorbs the branch).  The first sorted one is returned,
+    its branch read off the bases without e; with none (n <= m) every
+    witness has branch "a".  Raises ValueError if not in general position.
     """
     if ha1.m != ha2.m or ha1.n != ha2.n:
         raise ValueError("arrangements must share n and m")
-    _concurrency_signs(ha1), _concurrency_signs(ha2)
-    if not (ha1.is_valid() and ha2.is_valid()):
-        raise ValueError("inputs must be valid normal systems")
+    for ha in (ha1, ha2):
+        concurrency_sign_map(ha)  # names a concurrent subset
+        if not ha.is_valid():
+            raise ValueError(_INVALID)
     if ha1.n <= ha1.m:
         return IsoResult(True, SignedBijection.identity(ha1.labels).negate(), "a")
     chi1, chi2 = ha1.lift.chirotope, ha2.lift.chirotope
@@ -438,7 +411,7 @@ def _circuits(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], list]:
     (``scaled_minors``), k_s times the scaled cofactor is g_S[s] times the
     product of the k_i over S.
     """
-    hom, m = _concurrency_signs(ha), ha.m
+    hom, m = concurrency_sign_map(ha).signs, ha.m
     scale, minors = scaled_minors(m, dict(zip(ha.labels, ha.coeffs)))
     walls = {}
     for sub, s in hom.items():
@@ -515,8 +488,7 @@ def cone_facets(ha: HyperplaneArrangement) -> List[Tuple[int, ...]]:
     extreme rays of the cone of all v_T, so the other polyhedralities
     decide S as all walls would.
     """
-    walls, m, (plus, _) = _circuits(ha), ha.m, _sides(ha)
-    polys = [sub for sub in walls if _bounds_region(plus, sub, ha.n)]
+    walls, m, polys = _circuits(ha), ha.m, polyhedralities(ha)
     return [
         sub
         for sub in polys

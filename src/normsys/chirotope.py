@@ -1,9 +1,10 @@
 """The chirotope χ of labelled vectors in F^r: the sign of the determinant
 of every r of them, in a given order (Björner, Las Vergnas, Sturmfels,
 White and Ziegler, *Oriented Matroids*, 1993, ch. 3).  Line cycles, the
-isomorphism witness test, validity and concurrency sign maps are read off χ;
-an arrangement's χ is that of its affine lift, the rows (aᵢ | cᵢ) and e.
-The dual χ*, of rank n − r, is read off χ's signs alone.
+isomorphism witness test and validity are read off χ; an arrangement's χ
+is that of its affine lift, the rows (aᵢ | cᵢ) and e, and its concurrency
+sign map χ_hom, the deletion of e, is a ``Chirotope`` too.  The dual χ*, of
+rank n − r, is read off χ's signs alone.
 
 χ is computed once per sorted r-subset; a reordered subset is looked up by
 the parity of its sort.  Every maximal minor comes from one division-free

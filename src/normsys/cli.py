@@ -215,8 +215,8 @@ def cmd_regions(args) -> int:
 
 def cmd_signs(args) -> int:
     [ha] = _load_required(HyperplaneArrangement, "a hyperplane arrangement", args.path)
-    smap = arrangements.concurrency_sign_map(ha)
-    payload = smap.to_json_dict()
+    hom = arrangements.concurrency_sign_map(ha)
+    payload = {",".join(map(str, k)): v for k, v in hom.signs.items()}
     lines = [f"{key}: {'+' if v > 0 else '-'}" for key, v in payload.items()]
     _emit(args, payload, lines)
     return EXIT_OK

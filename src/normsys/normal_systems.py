@@ -291,12 +291,12 @@ def _witnesses(chi1: Chirotope, chi2: Chirotope, pin=None) -> List[SignedBijecti
 
 
 def _accepted(chi1: Chirotope, chi2: Chirotope, candidates) -> List[SignedBijection]:
-    """The witnesses whose permutation is a candidate, sorted."""
-    found = set()
+    """The witnesses whose permutation is a candidate (distinct), sorted."""
+    found = []
     for perm in candidates:
         w = _solve_signs(chi1, chi2, perm)
         # negating mu scales the pulled-back chirotope by (-1)^rank, so w
         # and w.negate() pass or fail together
         if pullback_sign(chi1, chi2, w):
-            found.update((w, w.negate()))
+            found += w, w.negate()
     return sorted(found, key=SignedBijection.key)

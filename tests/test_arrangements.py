@@ -5,7 +5,6 @@ from itertools import combinations, product
 import pytest
 
 from normsys import (
-    ConcurrencySignMap,
     HyperplaneArrangement,
     IsoResult,
     Matrix,
@@ -26,6 +25,7 @@ from normsys import (
     is_infinity_arrangement,
     is_simplex_polyhedrality,
     normal_system_of,
+    polyhedralities,
     predicted_counts,
     region_counts,
     simplex_orientation_check,
@@ -314,10 +314,13 @@ def test_polyhedralities_match_solved_vertices(d):
         for n in range(m + 1, 9):
             ha = random_arrangement(rng, m, n, d)
             sides = solved_sides(ha)
+            want = []
             for sub in combinations(ha.labels, m + 1):
-                want = reference_polyhedrality(ha, sides, sub)
-                assert is_simplex_polyhedrality(ha, sub) == want, (m, n, sub)
-                found.add(("polyhedrality", want))
+                bounds = reference_polyhedrality(ha, sides, sub)
+                assert is_simplex_polyhedrality(ha, sub) == bounds, (m, n, sub)
+                want += [sub] if bounds else []
+                found.add(("polyhedrality", bounds))
+            assert polyhedralities(ha) == want, (m, n)
             got = is_infinity_arrangement(ha)
             assert got == reference_infinity_arrangement(ha, sides), (m, n)
             found.add(("infinity", got[0]))
@@ -345,8 +348,8 @@ def test_random_simplex_orientation_agreement():
 
 def test_sign_map_three_lines():
     smap = concurrency_sign_map(three_lines())
-    assert len(smap) == 1
-    assert smap[(1, 2, 3)] in (1, -1)
+    assert len(smap.signs) == 1
+    assert smap.signs[(1, 2, 3)] in (1, -1)
 
 
 def test_identity_induces_own_sign_map():
@@ -428,7 +431,7 @@ def test_arrangements_isomorphic_on_twelve_points():
         res.witness, normal_system_of(ha), normal_system_of(img)
     )
     smap = concurrency_sign_map(ha)
-    flipped = ConcurrencySignMap({k: -v for k, v in smap})
+    flipped = Chirotope._of(smap.rank, smap.labels, {k: -v for k, v in smap.signs.items()})
     assert induced_sign_map(img, res.witness) == (smap if res.branch == "a" else flipped)
 
 
@@ -437,6 +440,33 @@ def test_self_isomorphic():
     ha = random_arrangement(rng, 2, 4)
     res = arrangements_isomorphic(ha, ha)
     assert res.isomorphic
+
+
+def test_isomorphism_rejects_input_not_in_general_position():
+    # an arrangement error in either position, never a normal-system one
+    bad_input = "not a general-position hyperplane arrangement"
+    cases = [
+        (  # two parallel lines
+            HyperplaneArrangement(2, [[1, 0], [1, 0]], [0, 1], check=False),
+            HyperplaneArrangement(2, [[1, 0], [0, 1]], [0, 0]),
+            bad_input,
+        ),
+        (  # three lines through the origin
+            HyperplaneArrangement(2, [[1, 0], [0, 1], [1, 1]], [0, 0, 0], check=False),
+            three_lines(),
+            r"hyperplanes \(1, 2, 3\) are concurrent",
+        ),
+        (  # n < m with dependent normals
+            HyperplaneArrangement(3, [[1, 0, 0], [1, 0, 0]], [0, 1], check=False),
+            HyperplaneArrangement(3, [[1, 0, 0], [0, 1, 0]], [0, 0]),
+            bad_input,
+        ),
+    ]
+    for bad, good, message in cases:
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match=message):
+                arrangements_isomorphic(*pair)
+        assert arrangements_isomorphic(good, good).isomorphic
 
 
 def test_cone_move_flips_exactly_one_sign():
@@ -451,7 +481,7 @@ def test_cone_move_flips_exactly_one_sign():
     )
     s1 = concurrency_sign_map(ha)
     s2 = concurrency_sign_map(moved)
-    flips = [k for k, v in s1 if s2[k] != v]
+    flips = [k for k, v in s1.signs.items() if s2.signs[k] != v]
     assert flips == [facet]
     # moving back across the same wall restores the original sign map
     back = HyperplaneArrangement(
@@ -467,17 +497,10 @@ def test_cone_facets_are_polyhedralities():
     rng = random.Random(46)
     for _ in range(3):
         ha = random_arrangement(rng, 2, 5)
-        polys = {
-            sub
-            for sub in combinations(ha.labels, ha.m + 1)
-            if is_simplex_polyhedrality(ha, sub)
-        }
-        assert set(cone_facets(ha)) <= polys
+        assert set(cone_facets(ha)) <= set(polyhedralities(ha))
     # (2, 4, 6) bounds a region, yet its concurrency wall is not a facet
     ha = random_arrangement(random.Random(65), 2, 6)
-    polys = {
-        sub for sub in combinations(ha.labels, 3) if is_simplex_polyhedrality(ha, sub)
-    }
+    polys = set(polyhedralities(ha))
     facets = set(cone_facets(ha))
     assert facets < polys
     assert polys - facets == {(2, 4, 6)}
@@ -501,7 +524,7 @@ def fm_facets(ha):
     solved for one more constant."""
     smap, m = concurrency_sign_map(ha), ha.m
     walls = {
-        sub: [smap[sub] * x for x in _wall_normal(ha, sub)[m:]]
+        sub: [smap.signs[sub] * x for x in _wall_normal(ha, sub)[m:]]
         for sub in combinations(ha.labels, m + 1)
     }
     out = []
@@ -549,7 +572,7 @@ def flipped(ha, facet):
         ha.m, [list(r) for r in ha.coeffs], adjacent_cone_constants(ha, facet)
     )
     s1, s2 = concurrency_sign_map(ha), concurrency_sign_map(moved)
-    return [k for k, v in s1 if s2[k] != v]
+    return [k for k, v in s1.signs.items() if s2.signs[k] != v]
 
 
 def test_cone_move_crosses_every_facet():
@@ -575,7 +598,7 @@ def test_cone_move_crosses_every_facet():
 def test_cone_facets_at_ten_hyperplanes():
     # 17 polyhedralities, 14 of them facets
     ha = grown_arrangement(random.Random(64), 2, 10)
-    polys = {sub for sub in combinations(ha.labels, 3) if is_simplex_polyhedrality(ha, sub)}
+    polys = set(polyhedralities(ha))
     facets = cone_facets(ha)
     assert len(facets) == 14 and set(facets) < polys
     for facet in facets:

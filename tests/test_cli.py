@@ -189,6 +189,27 @@ def test_signs_output(files, capsys):
     assert out in ("1,2,3: +", "1,2,3: -")
 
 
+def test_signs_output_with_two_digit_labels(tmp_path, capsys):
+    """Text lines come in tuple order (1,2,10 before 1,3,4); JSON keys in
+    string order, as json sorts them; each sign is det(rows (a_i | c_i))."""
+    ha = random_arrangement(random.Random(17), 2, 10)
+    path = tmp_path / "ha10.json"
+    path.write_text(json.dumps(ha.to_json_dict()))
+    hom = Chirotope(3, {i: ha.row(i) + (ha.constant(i),) for i in ha.labels})
+    keys = [",".join(map(str, sub)) for sub in hom.signs]
+    assert len(keys) == 120 and keys.index("1,2,10") < keys.index("1,3,4")
+    assert 0 not in hom.signs.values()
+
+    assert main(["signs", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{k}: {'+' if s > 0 else '-'}" for k, s in zip(keys, hom.signs.values())]
+
+    assert main(["--format", "json", "signs", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == sorted(keys)
+    assert data == dict(zip(keys, hom.signs.values()))
+
+
 def test_json_format(files, capsys):
     assert main(["--format", "json", "regions", files["ha"]]) == 0
     data = json.loads(capsys.readouterr().out)

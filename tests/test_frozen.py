@@ -6,7 +6,6 @@ import pytest
 
 from normsys import (
     AntipodalArrangement,
-    ConcurrencySignMap,
     CycleInvariantSet,
     HyperplaneArrangement,
     IsoResult,
@@ -43,7 +42,6 @@ CASES = {
     ),
     "SpherePoint": (SpherePoint, ([2, 4],), ([2, -4],)),
     "Region": (Region, ([1, -1], True), ([1, -1], False)),
-    "ConcurrencySignMap": (ConcurrencySignMap, ({(1, 2, 3): 1},), ({(1, 2, 3): -1},)),
     "Matrix": (Matrix, (ROWS,), ([[1, 0], [0, 1], [1, 2]],)),
     "NormalSystem": (NormalSystem, (2, ROWS), (2, [[1, 0], [0, 1], [1, 2]])),
     "AntipodalArrangement": (
@@ -84,7 +82,7 @@ CASES = {
     "FixtureReport": (FixtureReport, ("x", []), ("x", ["diff"])),
 }
 UNHASHABLE = {
-    "CycleInvariantSet", "ConcurrencySignMap", "NormalSystem", "AntipodalArrangement",
+    "CycleInvariantSet", "NormalSystem", "AntipodalArrangement",
     "HyperplaneArrangement", "Chirotope", "PaperFixture",
 }
 

@@ -196,15 +196,19 @@ def test_witnesses_match_reference_candidates(monkeypatch, m, n, d):
     from the deduced head images as from every ordered head tuple, both
     at the rank that is searched (n - m when 2m > n).  With
     n = m + 1 any two systems are isomorphic, by all 2 n! signed
-    bijections that pull chi back to +-chi, so the planted pair is enough."""
+    bijections that pull chi back to +-chi, so the planted pair is enough;
+    the self pair, whose automorphisms are all of them, checks that each
+    witness is found once (strictly increasing keys)."""
     rng = random.Random(100 * m + n + (d or 0))
     a = random_normal_system(rng, m, n, d)
     planted = transformed_system(rng, a, d)
-    pairs = [planted] if n == m + 1 else [planted, random_normal_system(rng, m, n, d), a]
+    pairs = [planted, a] if n == m + 1 else [planted, random_normal_system(rng, m, n, d), a]
     for b in pairs:
         got, want = _both_generators(monkeypatch, a.chirotope, b.chirotope)
         assert got == want
         assert got or b not in (planted, a)
+        keys = [w.key() for w in got]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
     if n == m + 1:
         assert len(got) == 2 * factorial(n)
 
