@@ -17,7 +17,6 @@ minors, as values, give the wall circuits of ``arrangements.cone_facets``.
 
 from __future__ import annotations
 
-from bisect import bisect
 from functools import reduce
 from itertools import combinations, starmap
 from math import comb, lcm
@@ -77,14 +76,6 @@ def _odd(seq: Sequence[int]) -> bool:
     return sum(starmap(gt, combinations(seq, 2))) % 2 == 1
 
 
-def _inserted(signs: dict, seq: Tuple[int, ...], h: int, tail: tuple = ()) -> int:
-    """chi(seq + (h,) + tail) for a sorted seq and a tail of labels above
-    every other: the sorted lookup, negated once per label of seq above h."""
-    k = bisect(seq, h)
-    s = signs[seq[:k] + (h,) + seq[k:] + tail]
-    return -s if (len(seq) - k) % 2 else s
-
-
 class Chirotope(Frozen):
     """Signs of the maximal minors of labelled vectors in F^rank.
 
@@ -103,6 +94,11 @@ class Chirotope(Frozen):
     def __call__(self, seq: Sequence[int]) -> int:
         s = self.signs[tuple(sorted(seq))]
         return -s if _odd(seq) else s
+
+    def __repr__(self):
+        # one character per sorted base, in order: "0+-"[s] reads 0, 1, -1
+        signs = "".join("0+-"[s] for s in self.signs.values())
+        return f"Chirotope(rank={self.rank}, labels={self.labels}, signs='{signs}')"
 
     def zero(self) -> Optional[Tuple[int, ...]]:
         """The first sorted subset whose vectors are dependent, or None."""

@@ -14,15 +14,15 @@ the whole search runs on the duals, of rank n - m, when that rank is lower.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
 from itertools import combinations, permutations
 from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .chirotope import Chirotope, pullback_sign
-from .cycles import contraction_order
+from .cycles import contraction_orders
 from .field import FieldValue, format_value, parse_value
 from .frozen import Frozen
 from .linalg import Matrix
@@ -151,25 +151,49 @@ def _aligned(perm: Dict[int, int], order: Sequence[int], nbrs) -> bool:
     return all(perm[b] in nbrs[perm[a]] for a, b in zip(order, order[1:] + order[:1]))
 
 
+def _fingerprints(labels, nbrs) -> Dict[tuple, tuple]:
+    """The fingerprint of every (r-2)-subset H, from the neighbour tables
+    of the orders: the sorted tuple, over h in H, of the number of
+    consecutive pairs (q, p) of order(H) with p next to h in
+    order(H - h + q) and q next to h in order(H - h + p), the triangles at
+    h in chi/(H - h).  A witness carries each order onto its image's up to
+    rotation and reversal, so fp2(pi H) = fp1(H).  Each (r-3)-subset
+    G = H - h is visited once; () at rank 2.
+    """
+    size = len(next(iter(nbrs)))
+    if not size:
+        return {(): ()}
+    counts = {head: [] for head in nbrs}
+    for g in combinations(labels, size - 1):
+        up = {x: tuple(sorted(g + (x,))) for x in labels if x not in g}
+        nb = {x: nbrs[head] for x, head in up.items()}  # x: neighbours in order(G + x)
+        for h, mine in nb.items():
+            triangles = [q for q, (_, p) in mine.items() if p in nb[q][h] and q in nb[p][h]]
+            counts[up[h]].append(len(triangles))
+    return {head: tuple(sorted(c)) for head, c in counts.items()}
+
+
 def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
     """Permutations that carry the contraction order of chi1 by every
     (r-2)-subset onto the order of chi2 by its image, up to rotation and
     reversal, for chirotopes of rank r on n >= 2r labels; every
     permutation when r = 1.  With a pin label, only those that fix it.
 
-    The head is the first subset that contains the pin, or else the first
+    Such a permutation keeps every subset's fingerprint (``_fingerprints``),
+    so there are none when the two fingerprint multisets differ.  The head
+    is the subset (one that contains the pin, if any) whose fingerprint is
+    shared by the fewest eligible subsets of chi2, the first on a tie
     (empty at r = 2).  Its order (the seed) is aligned with the order of
-    chi2 by each image set S, both ways, every rotation, which maps all
-    labels but the head's.  Those are read off a probe, the sorted first
-    r - 2 seed labels: its order holds the head and n - 2r + 4 >= 4 seed
-    labels (anchors), and the alignment with its image's order that puts
-    the first anchor on its image, in each direction, names the head's
-    images if every other anchor fits too.  The anchors' images fill the
-    rest of that order, so the head lands on S.  The probe comes first:
-    its image and the anchors are read off the rotated target by seed
-    slot, and a permutation is built only for an alignment that passes.
-    The other orders of chi1, and the neighbours in chi2's, are computed
-    when first read.
+    chi2 by each image set S of the same fingerprint, both ways, every
+    rotation, which maps all labels but the head's.  Those are read off a
+    probe, the sorted first r - 2 seed labels: its order holds the head
+    and n - 2r + 4 >= 4 seed labels (anchors), and the alignment with its
+    image's order that puts the first anchor on its image, in each
+    direction, names the head's images if every other anchor fits too.
+    The anchors' images fill the rest of that order, so the head lands on
+    S.  The probe comes first: its image and the anchors are read off the
+    rotated target by seed slot, and a permutation is built only for an
+    alignment that passes.
     """
     labels, r = chi1.labels, chi1.rank
     if r == 1:
@@ -180,15 +204,20 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
                 yield perm
         return
     subsets = list(combinations(labels, r - 2))
-    head = next((h for h in subsets if pin in h), subsets[0])
+    orders1, orders2 = contraction_orders(chi1), contraction_orders(chi2)
+    fp1 = _fingerprints(labels, {h: _neighbours(o) for h, o in orders1.items()})
+    nbrs2 = {h: _neighbours(o) for h, o in orders2.items()}
+    fp2 = _fingerprints(labels, nbrs2)
+    if sorted(fp1.values()) != sorted(fp2.values()):
+        return
+    heads = [h for h in subsets if pin in h] or subsets
+    shared = Counter(fp2[h] for h in heads)  # fingerprint: eligible images in chi2
+    head = min(heads, key=lambda h: shared[fp1[h]])
     others = [h for h in subsets if h != head]
-    order1 = cache(partial(contraction_order, chi1))
-    orders2 = {h: contraction_order(chi2, h) for h in subsets}
-    nbrs2 = cache(lambda h: _neighbours(orders2[h]))
-    seed = contraction_order(chi1, head)
+    seed = orders1[head]
     size = len(seed)
     if head:
-        order = order1(tuple(sorted(seed[: r - 2])))
+        order = orders1[tuple(sorted(seed[: r - 2]))]
         at, slot = {q: i for i, q in enumerate(order)}, {q: k for k, q in enumerate(seed)}
         # (position in the probe's order, seed slot) of the first anchor, then the rest
         (first, k0), *anchors = [(i, slot[q]) for i, q in enumerate(order) if q not in head]
@@ -209,7 +238,7 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
         ]
 
     for image_set in subsets:
-        if (pin in image_set) != (pin in head):
+        if (pin in image_set) != (pin in head) or fp2[image_set] != fp1[head]:
             continue
         target = orders2[image_set]
         for seq in (target, target[::-1]):
@@ -219,7 +248,7 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
                     perm = dict(zip(seed, ring[rot : rot + size]))
                     perm.update(zip(head, images))
                     if perm.get(pin, pin) == pin and all(
-                        _aligned(perm, order1(h), nbrs2(tuple(sorted(perm[i] for i in h))))
+                        _aligned(perm, orders1[h], nbrs2[tuple(sorted(perm[i] for i in h))])
                         for h in others
                     ):
                         yield perm

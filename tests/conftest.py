@@ -1,9 +1,11 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and reference helpers for the test suite.
 
 Everything is seeded explicitly by the caller so runs are reproducible.
 """
 
+import functools
 import random
+from bisect import bisect
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -19,6 +21,7 @@ from normsys import (
     positive_combination,
     sign,
 )
+from normsys.chirotope import _odd
 from normsys.linalg import rank, solve
 
 
@@ -223,3 +226,34 @@ def is_compatible(arr: AntipodalArrangement, s) -> bool:
     if not comb.all_positive:
         return False
     return triple_determinant_sign(arr, s.triple) < 0
+
+
+def inserted(signs: dict, seq: tuple, h: int, tail: tuple = ()) -> int:
+    """chi(seq + (h,) + tail) for a sorted seq and a tail of labels above
+    every other: the sorted lookup, negated once per label of seq above h."""
+    k = bisect(seq, h)
+    s = signs[seq[:k] + (h,) + seq[k:] + tail]
+    return -s if (len(seq) - k) % 2 else s
+
+
+def reference_order(chi, head) -> tuple:
+    """Reference for ``cycles.contraction_orders``: the cyclic order of the
+    lines of chi/head by a comparator sort.  The other labels q, r have
+    orientation sign chi(head, q, r); every line is folded into the
+    half-plane that starts at the first other label q0 and sorted by
+    angle, so the order starts at q0."""
+    ordered, par = tuple(sorted(head)), -1 if _odd(head) else 1
+    with_q = {}  # q: the sorted head with q inserted, and the sign of that sort
+    for q in chi.labels:
+        if q not in ordered:
+            k = bisect(ordered, q)
+            with_q[q] = ordered[:k] + (q,) + ordered[k:], par * (-1) ** len(ordered[k:])
+
+    def orient(q: int, r: int) -> int:
+        seq, s = with_q[q]
+        return s * inserted(chi.signs, seq, r)
+
+    q0 = next(iter(with_q))
+    fold = {r: orient(q0, r) if r != q0 else 1 for r in with_q}
+    key = functools.cmp_to_key(lambda q, r: -fold[q] * fold[r] * orient(q, r))
+    return tuple(sorted(fold, key=key))

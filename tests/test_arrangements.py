@@ -32,9 +32,10 @@ from normsys import (
     sign,
 )
 from normsys import arrangements, fm
-from normsys.chirotope import Chirotope, _inserted, pullback_sign
+from normsys.chirotope import Chirotope, pullback_sign
 from normsys.arrangements import _sides
 from conftest import (
+    inserted,
     random_arrangement,
     planted_arrangement,
     random_invertible,
@@ -172,10 +173,10 @@ def reference_regions(ha):
     signs, e = ha.lift.chirotope.signs, (ha.n + 1,)
     regions, unbounded = set(), set()
     for base in combinations(labels, m):
-        sides = [0 if h in base else -signs[base + e] * _inserted(signs, base, h) for h in labels]
+        sides = [0 if h in base else -signs[base + e] * inserted(signs, base, h) for h in labels]
         regions |= _fills(base, sides)
     for line in combinations(labels, m - 1):
-        ray = [0 if h in line else _inserted(signs, line, h, e) for h in labels]
+        ray = [0 if h in line else inserted(signs, line, h, e) for h in labels]
         unbounded |= _fills(line, ray) | _fills(line, [-s for s in ray])
     return sorted(Region(s, s not in unbounded) for s in regions)
 

@@ -13,6 +13,7 @@ from normsys import (
     HyperplaneArrangement,
     NormalSystem,
     affine_image,
+    concurrency_sign_map,
     hyperplanes_from,
     normal_system_of,
 )
@@ -180,3 +181,17 @@ def test_minor_count_guard(monkeypatch):
     monkeypatch.setattr(chirotope, "MAX_MINORS", 4 + 6 + 3)
     with pytest.raises(ValueError, match="limit 13"):
         Chirotope(3, vectors)
+
+
+def test_repr_shows_rank_labels_and_signs():
+    """One sign character per sorted base, zeros included, so that sign
+    maps print their contents."""
+    vectors = {1: [1, 0], 2: [0, 1], 3: [1, 1], 4: [2, 0]}
+    chi = Chirotope(2, vectors)
+    # bases 12 13 14 23 24 34
+    assert repr(chi) == "Chirotope(rank=2, labels=(1, 2, 3, 4), signs='++0---')"
+    smap = concurrency_sign_map(
+        HyperplaneArrangement(2, [[1, 0], [0, 1], [1, 1]], [0, 0, 1])
+    )
+    # the rows (a_i | c_i) have determinant 1
+    assert repr(smap) == "Chirotope(rank=3, labels=(1, 2, 3), signs='+')"

@@ -19,8 +19,10 @@ from normsys import (
     sign,
     standard_arrangement,
 )
+from normsys import cycles
+from normsys.cycles import chirotope_cycles, contraction_orders
 from normsys.symbols import STANDARD_DICTIONARY
-from conftest import random_normal_system, random_sphere_arrangement
+from conftest import random_normal_system, random_sphere_arrangement, reference_order
 
 
 def test_cycle_canonical_rotation():
@@ -119,6 +121,37 @@ def test_chirotope_cycles_match_projection(d):
                     for s in (1, -1):
                         expected[(subset, j, s)] = line_cycle(proj, j, positive=s > 0)
             assert all_cycle_invariants(arr).cycles == expected
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_contraction_orders_match_reference_order(r, d):
+    """One pass over the bases gives, for every sorted head, the order of
+    the comparator sort, from q0 on: ranks 2-5, n = r..10, over Q,
+    Q(sqrt 2) and Q(sqrt 5)."""
+    rng = random.Random(90 * r + (d or 0))
+    for n in range(r, 11):
+        chi = random_normal_system(rng, r, n, d).chirotope
+        orders = contraction_orders(chi)
+        heads = list(combinations(chi.labels, r - 2))
+        assert sorted(orders) == heads
+        for head in heads:
+            assert orders[head] == reference_order(chi, head)
+
+
+def test_chirotope_cycles_read_one_table(monkeypatch):
+    """The whole cycle family comes from one ``contraction_orders`` call."""
+    calls = []
+    inner = cycles.contraction_orders
+
+    def counted(chi):
+        calls.append(chi)
+        return inner(chi)
+
+    monkeypatch.setattr(cycles, "contraction_orders", counted)
+    chi = random_normal_system(random.Random(4), 4, 7).chirotope
+    assert len(chirotope_cycles(chi)) == 2 * 7 * 6
+    assert calls == [chi]
 
 
 small = st.fractions(min_value=-20, max_value=20, max_denominator=6)

@@ -22,12 +22,13 @@ from normsys import (
 from normsys import normal_systems
 from normsys.arrangements import arrangements_isomorphic
 from normsys.chirotope import Chirotope, pullback_sign
-from normsys.cycles import contraction_order
+from normsys.cycles import contraction_orders
 from normsys.normal_systems import (
     MAX_WITNESSES,
     _accepted,
     _aligned,
     _candidates,
+    _fingerprints,
     _neighbours,
     _witnesses,
 )
@@ -37,6 +38,7 @@ from conftest import (
     planted_system,
     random_arrangement,
     random_normal_system,
+    reference_order,
     transformed_system,
 )
 
@@ -140,10 +142,10 @@ def reference_candidates(chi1, chi2, pin=None):
     subsets = list(combinations(labels, m - 2))
     head = next((h for h in subsets if pin in h), subsets[0])
     others = [h for h in subsets if h != head]
-    orders1 = {h: contraction_order(chi1, h) for h in others}
-    orders2 = {h: contraction_order(chi2, h) for h in subsets}
+    orders1 = {h: reference_order(chi1, h) for h in others}
+    orders2 = {h: reference_order(chi2, h) for h in subsets}
     nbrs2 = {h: _neighbours(order) for h, order in orders2.items()}
-    seed = contraction_order(chi1, head)
+    seed = reference_order(chi1, head)
     for images in permutations(labels, m - 2):
         start = dict(zip(head, images))
         if start.get(pin, pin) != pin:
@@ -319,6 +321,49 @@ def test_pinned_dual_route_matches_the_primal_search(m):
             got = _witnesses(chi1, chi2, pin=n + 1)
             assert got == _primal_witnesses(chi1, chi2, pin=n + 1)
             assert got or hb not in (planted, ha)
+
+
+def _fingerprint_table(chi):
+    """fp(H) for every (r-2)-subset H of chi, as ``_candidates`` reads it."""
+    orders = contraction_orders(chi)
+    return _fingerprints(chi.labels, {h: _neighbours(o) for h, o in orders.items()})
+
+
+@pytest.mark.parametrize("r,n", [(3, 6), (3, 7), (4, 8), (5, 10)])
+def test_fingerprints_are_invariant(r, n):
+    """fp2(pi H) = fp1(H) for every head H and every witness pi: planted
+    pairs of systems at rank r, and of lifts of rank r with e = n pinned.
+    The witnesses come from the ordered-tuple generator, which reads no
+    fingerprint, and include the planted one."""
+    rng = random.Random(600 + 10 * r + n)
+    a = random_normal_system(rng, r, n)
+    b, planted = planted_system(rng, a)
+    ha = random_arrangement(rng, r - 1, n - 1)
+    pairs = [
+        (a.chirotope, b.chirotope, None),
+        (ha.lift.chirotope, planted_arrangement(rng, ha).lift.chirotope, n),
+    ]
+    for chi1, chi2, pin in pairs:
+        fp1, fp2 = _fingerprint_table(chi1), _fingerprint_table(chi2)
+        witnesses = _primal_witnesses(chi1, chi2, pin)
+        assert witnesses
+        assert pin is not None or planted in witnesses
+        for w in witnesses:
+            for head, fp in fp1.items():
+                assert fp2[tuple(sorted(w.perm[i] for i in head))] == fp
+
+
+def test_unequal_fingerprints_yield_no_candidates():
+    """A (3,7) pair whose fingerprint multisets differ: every line of the
+    first has 3 triangles, three lines of the second have 4.  No
+    candidate is built, and the search agrees with the exhaustive oracle."""
+    rng = random.Random(1)
+    a, b = random_normal_system(rng, 3, 7), random_normal_system(rng, 3, 7)
+    fp1, fp2 = _fingerprint_table(a.chirotope), _fingerprint_table(b.chirotope)
+    assert sorted(fp1.values()) == [(3,)] * 7
+    assert sorted(fp2.values()) == [(3,)] * 4 + [(4,)] * 3
+    assert list(_candidates(a.chirotope, b.chirotope)) == []
+    assert find_isomorphisms(a, b) == oracle_isomorphisms(a, b) == []
 
 
 def _record_ranks(monkeypatch, name, calls):
