@@ -220,10 +220,11 @@ def region_counts(ha: HyperplaneArrangement) -> Tuple[int, int, int]:
 
 
 def predicted_counts(n: int, m: int) -> Tuple[int, int, int]:
-    """Closed-form region counts of a general-position arrangement."""
+    """Closed-form region counts of a general-position arrangement; C(-1, k)
+    reads 0, so no hyperplane gives the one unbounded region."""
     total = sum(comb(n, i) for i in range(m + 1))
-    bounded = comb(n - 1, m)
-    unbounded = sum(comb(n, i) for i in range(m)) + comb(n - 1, m - 1)
+    bounded = comb(n - 1, m) if n else 0
+    unbounded = sum(comb(n, i) for i in range(m)) + (comb(n - 1, m - 1) if n else 0)
     return total, bounded, unbounded
 
 

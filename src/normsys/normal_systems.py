@@ -7,7 +7,7 @@ combinations in both directions.  The decision runs two ways: a brute-force
 oracle over all signed bijections, and one search for every m that reads
 candidate permutations off the cyclic orders of lines in the rank-2
 contractions of the chirotope (the line cycles of the sphere arrangement),
-solves the signs from the chirotope and verifies the result against it.
+then solves the signs and checks every base in one pass per candidate.
 A signed bijection is a witness of chi iff it is one of the dual chi*, so
 the whole search runs on the duals, of rank n - m, when that rank is lower.
 """
@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial
+from itertools import chain, combinations, permutations
+from math import comb, factorial
+from operator import gt, itemgetter, ne, xor
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
@@ -221,19 +222,18 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
         at, slot = {q: i for i, q in enumerate(order)}, {q: k for k, q in enumerate(seed)}
         # (position in the probe's order, seed slot) of the first anchor, then the rest
         (first, k0), *anchors = [(i, slot[q]) for i, q in enumerate(order) if q not in head]
-        pos2 = {h: {q: i for i, q in enumerate(o)} for h, o in orders2.items()}
 
     def head_images(ring, rot):
         """The head's images when seed slot k goes to ring[rot + k]."""
         if not head:
             return [()]
         image = tuple(sorted(ring[rot : rot + r - 2]))
-        target, where = orders2[image], pos2[image]
+        target = orders2[image]
         # the offset j that puts the first anchor on its image
         return [
             tuple(target[(j + d * at[h]) % size] for h in head)
             for d in (1, -1)
-            for j in [where[ring[rot + k0]] - d * first]
+            for j in [target.index(ring[rot + k0]) - d * first]
             if all(target[(j + d * i) % size] == ring[rot + k] for i, k in anchors)
         ]
 
@@ -254,41 +254,14 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
                         yield perm
 
 
-def _solve_signs(
-    chi1: Chirotope, chi2: Chirotope, perm: Dict[int, int]
-) -> SignedBijection:
-    """The witness (perm, mu) with mu(b0) = +1, in label order, if any
-    sign vector makes perm one.
-
-    With B the first base and B' the base B with b replaced by u, a
-    witness pulls chi2 back to eps * chi1 on both, so mu(u) / mu(b) =
-    chi1(B') chi2(pi B') chi1(B) chi2(pi B).  Reordering B' flips both of
-    its factors alike, so B' is read sorted, b dropped and u, which lies
-    above B, appended, and chi2 on its images in that order.  Exchanges
-    at b0 give mu outside B; exchanges with u1, the first label outside
-    B, give the rest of B.
-    """
-    labels, r = chi1.labels, chi1.rank
-    base, outside = labels[:r], labels[r:]
-
-    def read(sub: Tuple[int, ...]) -> int:
-        return chi1.signs[sub] * chi2([perm[i] for i in sub])
-
-    ref, u1 = read(base), outside[0]
-    mu = {u: read(base[1:] + (u,)) * ref for u in outside}
-    for t in range(1, r):
-        mu[base[t]] = mu[u1] * read(base[:t] + base[t + 1 :] + (u1,)) * ref
-    mu[base[0]] = 1
-    return SignedBijection._of({i: perm[i] for i in labels}, {i: mu[i] for i in labels})
-
-
 def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBijection]:
     """All isomorphism witnesses, read off the two chirotopes.
 
     All of the search runs on chi, or on its dual if that has the lower
     rank r: candidates align the contraction orders by (r-2)-subsets (all
     permutations when r = 1), the signs are solved by single exchanges,
-    and a candidate is kept iff it pulls chi2 back to +-chi1.  Validity
+    and a candidate is kept iff it pulls chi2 back to +-chi1 on every base
+    (``_accepted``, one column-wise pass per candidate).  Validity
     comes from chi.  Returns the empty list exactly when the systems are
     not isomorphic; raises ValueError when the shape fixes more than
     MAX_WITNESSES witnesses.
@@ -320,12 +293,50 @@ def _witnesses(chi1: Chirotope, chi2: Chirotope, pin=None) -> List[SignedBijecti
 
 
 def _accepted(chi1: Chirotope, chi2: Chirotope, candidates) -> List[SignedBijection]:
-    """The witnesses whose permutation is a candidate (distinct), sorted."""
+    """The witnesses whose permutation is a candidate (distinct), sorted;
+    chi1, chi2 uniform, of rank r on n > r labels.
+
+    One pass per candidate pi over chi1's sorted bases, read as r label
+    columns: x(B) = [chi2(pi B) != chi1(B)] is chi2 on each sorted image
+    tuple, flipped by one gt pass per column pair.  A witness pulls chi2
+    back to eps * chi1, so with B' the first base B0 with b replaced by u,
+    mu(u) / mu(b) = -1 iff x(B') != x(B0): exchanges at b0 give mu outside
+    B0 (B' = B0[1:] + (u,), u above B0), those with u1, the first label
+    outside B0, the rest, and mu(b0) = +1.  (pi, +-mu) are witnesses iff
+    x(B) xor [mu(B) < 0] is the same on every base.
+    """
+    candidates = iter(candidates)
+    perm = next(candidates, None)
+    if perm is None:
+        return []
+    labels, r = chi1.labels, chi1.rank
+    n, signs2 = len(labels), chi2.signs
+    cols, s1 = [tuple(map(itemgetter(k), chi1.signs)) for k in range(r)], chi1.signs.values()
+    pairs = list(combinations(range(r), 2))
+    base, outside = labels[:r], labels[r:]
+    # B0[1:] + (u,) follows the C(n-1, r-1) bases that hold b0, u by u;
+    # B0 without b_t, plus u1, the C(n-1-t, r-1-t) that hold B0[:t+1]
+    lo = comb(n - 1, r - 1)
+    at = [(base[t], comb(n - 1 - t, r - 1 - t)) for t in range(1, r)]
     found = []
-    for perm in candidates:
-        w = _solve_signs(chi1, chi2, perm)
-        # negating mu scales the pulled-back chirotope by (-1)^rank, so w
-        # and w.negate() pass or fail together
-        if pullback_sign(chi1, chi2, w):
+    for perm in chain((perm,), candidates):
+        images = [list(map(perm.__getitem__, col)) for col in cols]
+        x = map(ne, s1, map(signs2.__getitem__, map(tuple, map(sorted, zip(*images)))))
+        for i, j in pairs:
+            x = map(xor, x, map(gt, images[i], images[j]))
+        x = list(x)
+        x0 = x[0]
+        neg = {u: x0 ^ xu for u, xu in zip(outside, x[lo:])}  # mu(u) < 0
+        for b, k in at:
+            neg[b] = neg[outside[0]] ^ x0 ^ x[k]
+        neg[base[0]] = False
+        for col in cols:
+            x = map(xor, x, map(neg.__getitem__, col))
+        eps = next(x)
+        if (not eps) not in x:
+            # negating mu scales the pullback by (-1)^r: w, -w pass together
+            w = SignedBijection._of(
+                {i: perm[i] for i in labels}, {i: -1 if neg[i] else 1 for i in labels}
+            )
             found += w, w.negate()
     return sorted(found, key=SignedBijection.key)

@@ -21,7 +21,7 @@ from normsys import (
     positive_combination,
     sign,
 )
-from normsys.chirotope import _odd
+from normsys.chirotope import _odd, pullback_sign
 from normsys.linalg import rank, solve
 
 
@@ -257,3 +257,41 @@ def reference_order(chi, head) -> tuple:
     fold = {r: orient(q0, r) if r != q0 else 1 for r in with_q}
     key = functools.cmp_to_key(lambda q, r: -fold[q] * fold[r] * orient(q, r))
     return tuple(sorted(fold, key=key))
+
+
+def reference_solve(chi1, chi2, perm) -> SignedBijection:
+    """Reference for the sign solve of ``normal_systems._accepted``: the
+    signed bijection (perm, mu) with mu(b0) = +1, in label order, that
+    every witness with this permutation equals up to sign.
+
+    With B the first base and B' the base B with b replaced by u, a
+    witness pulls chi2 back to eps * chi1 on both, so mu(u) / mu(b) =
+    chi1(B') chi2(pi B') chi1(B) chi2(pi B).  B' is read sorted, b
+    dropped and u, which lies above B, appended, and chi2 on its images
+    in that order.  Exchanges at b0 give mu outside B; exchanges with u1,
+    the first label outside B, give the rest of B.
+    """
+    labels, r = chi1.labels, chi1.rank
+    base, outside = labels[:r], labels[r:]
+
+    def read(sub):
+        return chi1.signs[sub] * chi2([perm[i] for i in sub])
+
+    ref, u1 = read(base), outside[0]
+    mu = {u: read(base[1:] + (u,)) * ref for u in outside}
+    for t in range(1, r):
+        mu[base[t]] = mu[u1] * read(base[:t] + base[t + 1 :] + (u1,)) * ref
+    mu[base[0]] = 1
+    return SignedBijection._of({i: perm[i] for i in labels}, {i: mu[i] for i in labels})
+
+
+def reference_accepted(chi1, chi2, perms) -> list:
+    """Reference for ``normal_systems._accepted``: each permutation's
+    witness from ``reference_solve``, and its negation, kept iff
+    ``pullback_sign`` accepts it; sorted."""
+    found = []
+    for perm in perms:
+        w = reference_solve(chi1, chi2, perm)
+        if pullback_sign(chi1, chi2, w):
+            found += w, w.negate()
+    return sorted(found, key=SignedBijection.key)

@@ -77,6 +77,12 @@ def test_region_counts_three_lines():
     assert sum(1 for r in regions if r.bounded) == 1
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_no_hyperplanes_leave_one_unbounded_region(m):
+    """With n = 0 the closed form reads C(-1, k) as 0."""
+    assert region_counts(HyperplaneArrangement(m, [], [])) == predicted_counts(0, m) == (1, 0, 1)
+
+
 def test_input_not_in_general_position_is_rejected():
     concurrent = HyperplaneArrangement(2, [[1, 0], [0, 1], [1, 1]], [0, 0, 0], check=False)
     parallel = HyperplaneArrangement(2, [[1, 0], [1, 0], [0, 1]], [0, 1, 0], check=False)

@@ -153,6 +153,16 @@ def test_regions_quadratic_field(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_regions_of_no_hyperplanes(tmp_path, capsys, m):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"m": m, "coeffs": [], "constants": []}))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["regions", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "total=1 bounded=0 unbounded=1 formula=OK"
+
+
 def test_ns_iso_quadratic_field(tmp_path, capsys):
     # end to end over Q(sqrt 5): planted pairs list the decider's witnesses
     rng = random.Random(71)

@@ -38,6 +38,7 @@ from conftest import (
     planted_system,
     random_arrangement,
     random_normal_system,
+    reference_accepted,
     reference_order,
     transformed_system,
 )
@@ -366,16 +367,57 @@ def test_unequal_fingerprints_yield_no_candidates():
     assert find_isomorphisms(a, b) == oracle_isomorphisms(a, b) == []
 
 
-def _record_ranks(monkeypatch, name, calls):
-    """Patch normal_systems.name to log the ranks of the two chirotopes it
-    receives."""
-    inner = getattr(normal_systems, name)
+ACCEPTED_SHAPES = [(r, n) for r in (1, 2, 3) for n in range(r + 1, 7)]
 
-    def recorded(chi1, chi2, arg):
-        calls.append((name, chi1.rank, chi2.rank))
-        return inner(chi1, chi2, arg)
 
-    monkeypatch.setattr(normal_systems, name, recorded)
+@pytest.mark.parametrize("d", [None, 2, 5])
+@pytest.mark.parametrize("r,n", ACCEPTED_SHAPES, ids=[f"r{r}-n{n}" for r, n in ACCEPTED_SHAPES])
+def test_accepted_matches_reference_solve(r, n, d):
+    """Every permutation of n <= 6 labels, fed to ``_accepted``, keeps
+    exactly the signed bijections that ``reference_solve`` and
+    ``pullback_sign`` accept, in the same order: planted, independent and
+    self pairs of rank-r systems, and of lifts of rank r (r - 1
+    dimensions, e = n pinned, so every permutation fixes n).  Every
+    permutation is a witness at rank 1 and at n = r + 1; elsewhere some
+    are rejected."""
+    rng = random.Random(1900 + 10 * r + n + (d or 0))
+    a = random_normal_system(rng, r, n, d)
+    pairs = [
+        (a.chirotope, b.chirotope, None)
+        for b in (transformed_system(rng, a, d), random_normal_system(rng, r, n, d), a)
+    ]
+    if r > 1:
+        ha = random_arrangement(rng, r - 1, n - 1, d)
+        pairs += [
+            (ha.lift.chirotope, hb.lift.chirotope, n)
+            for hb in (planted_arrangement(rng, ha, d), random_arrangement(rng, r - 1, n - 1, d), ha)
+        ]
+    rejected = 0
+    for chi1, chi2, pin in pairs:
+        perms = [
+            dict(zip(chi1.labels, images))
+            for images in permutations(chi1.labels)
+            if pin is None or images[pin - 1] == pin
+        ]
+        got = _accepted(chi1, chi2, perms)
+        assert got == reference_accepted(chi1, chi2, perms)
+        assert got or chi1 is not chi2
+        rejected += len(perms) - len(got) // 2
+    assert bool(rejected) == (r > 1 and n > r + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4, 16, 17])
+def test_equal_fingerprints_agree_with_the_oracle(seed):
+    """Random (3,7) pairs whose fingerprint multisets are equal, so the
+    search gets past its multiset test: it agrees with the exhaustive
+    oracle.  All are non-isomorphic but seed 17's, which has 4 witnesses."""
+    rng = random.Random(seed)
+    a, b = random_normal_system(rng, 3, 7), random_normal_system(rng, 3, 7)
+    fp1, fp2 = _fingerprint_table(a.chirotope), _fingerprint_table(b.chirotope)
+    assert sorted(fp1.values()) == sorted(fp2.values())
+    got = find_isomorphisms(a, b)
+    assert got == oracle_isomorphisms(a, b)
+    assert len(got) == (4 if seed == 17 else 0)
 
 
 @pytest.mark.parametrize("m,n", [(3, 4), (5, 7), (6, 8), (6, 9)])
@@ -386,15 +428,17 @@ def test_search_stays_in_the_searched_space(monkeypatch, m, n):
     rng = random.Random(700 + 10 * m + n)
     a = random_normal_system(rng, m, n)
     ha = random_arrangement(rng, m - 1, n - 1)
-    calls = []
-    for name in ("_solve_signs", "pullback_sign"):
-        _record_ranks(monkeypatch, name, calls)
+    calls, inner = [], normal_systems._accepted
+
+    def recorded(chi1, chi2, candidates):
+        calls.append((chi1.rank, chi2.rank))
+        return inner(chi1, chi2, candidates)
+
+    monkeypatch.setattr(normal_systems, "_accepted", recorded)
     assert find_isomorphisms(a, transformed_system(rng, a))
-    unpinned = len(calls)
+    assert calls == [(n - m, n - m)]
     assert arrangements_isomorphic(ha, planted_arrangement(rng, ha)).isomorphic
-    for part in (calls[:unpinned], calls[unpinned:]):
-        assert {name for name, _, _ in part} == {"_solve_signs", "pullback_sign"}
-    assert {(r1, r2) for _, r1, r2 in calls} == {(n - m, n - m)}
+    assert calls == [(n - m, n - m)] * 2
 
 
 def test_rank_one_candidates_fix_the_pin():
