@@ -297,6 +297,17 @@ def induced_sign_map(ha2: HyperplaneArrangement, w: SignedBijection) -> Chirotop
     return Chirotope._of(hom.rank, labels, signs)
 
 
+def _check_pair(ha1: HyperplaneArrangement, ha2: HyperplaneArrangement) -> None:
+    """Raise ValueError unless the arrangements share n and m and both are in
+    general position; the decider and the definition oracle start here."""
+    if ha1.m != ha2.m or ha1.n != ha2.n:
+        raise ValueError("arrangements must share n and m")
+    for ha in (ha1, ha2):
+        concurrency_sign_map(ha)  # names a concurrent subset
+        if not ha.is_valid():
+            raise ValueError(_INVALID)
+
+
 class IsoResult(Frozen):
     __slots__ = ("isomorphic", "witness", "branch")
 
@@ -321,12 +332,7 @@ def arrangements_isomorphic(
     its branch read off the bases without e; with none (n <= m) every
     witness has branch "a".  Raises ValueError if not in general position.
     """
-    if ha1.m != ha2.m or ha1.n != ha2.n:
-        raise ValueError("arrangements must share n and m")
-    for ha in (ha1, ha2):
-        concurrency_sign_map(ha)  # names a concurrent subset
-        if not ha.is_valid():
-            raise ValueError(_INVALID)
+    _check_pair(ha1, ha2)
     if ha1.n <= ha1.m:
         return IsoResult(True, SignedBijection.identity(ha1.labels).negate(), "a")
     chi1, chi2 = ha1.lift.chirotope, ha2.lift.chirotope
@@ -388,8 +394,7 @@ def definition_oracle_isomorphic(
     ha1: HyperplaneArrangement, ha2: HyperplaneArrangement, max_n: int = 5
 ) -> bool:
     """Exhaustive search over all subscript bijections (factorial guard)."""
-    if ha1.m != ha2.m or ha1.n != ha2.n:
-        raise ValueError("arrangements must share n and m")
+    _check_pair(ha1, ha2)
     if ha1.n > max_n:
         raise ValueError(f"definition oracle limited to n <= {max_n}")
     labels = list(ha1.labels)

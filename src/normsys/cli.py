@@ -4,6 +4,9 @@ Subcommands: validate | cycles | ns-iso | ha-iso | regions | signs |
 symbols | verify-paper.  Verdicts go to stdout, diagnostics to stderr.
 Exit codes: 0 success / isomorphic, 1 usage or parse error (an unwritable
 ``--output`` path included), 2 invalid object, 3 non-isomorphic verdict.
+
+Each ``cmd_*`` handler does no I/O: it returns (payload, text lines, exit
+code), and ``main`` writes the payload as JSON or the lines as text.
 """
 
 from __future__ import annotations
@@ -11,13 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import arrangements, fixtures
 from .arrangements import HyperplaneArrangement
 from .cycles import all_cycle_invariants
 from .field import QuadExt, parse_value
 from .normal_systems import NormalSystem, find_isomorphisms, oracle_isomorphisms
-from .sphere import AntipodalArrangement, ArrangementError
+from .sphere import AntipodalArrangement
 from .symbols import compatible_symbols
 
 EXIT_OK = 0
@@ -25,8 +29,20 @@ EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_NONISO = 3
 
+# each kind's name in messages; ``validate`` reports it hyphenated
+KINDS = {
+    NormalSystem: "normal system",
+    AntipodalArrangement: "sphere arrangement",
+    HyperplaneArrangement: "hyperplane arrangement",
+}
+SPHERE = (NormalSystem, AntipodalArrangement)
+
 
 class ParseFailure(Exception):
+    pass
+
+
+class InvalidObject(Exception):
     pass
 
 
@@ -74,42 +90,21 @@ def _load_object(path: str):
         if key == "points":
             return AntipodalArrangement.from_vectors(dim, rows)
         return HyperplaneArrangement(dim, rows, constants)
-    except (ArrangementError, ValueError) as exc:
-        raise InvalidObject(path, str(exc)) from exc
+    except ValueError as exc:  # an ArrangementError included
+        raise InvalidObject(f"{path}: {exc}") from exc
 
 
-class InvalidObject(Exception):
-    def __init__(self, path: str, reason: str):
-        super().__init__(f"{path}: {reason}")
-        self.path = path
-        self.reason = reason
-
-
-def _load_required(kind, noun: str, *paths: str) -> list:
-    """Parse every file, then require each object to be a kind, named by noun."""
+def _load_required(kinds: tuple, *paths: str) -> list:
+    """Parse every file, then require each object to be one of kinds.  Where
+    sphere arrangements are accepted, a normal system is read as one."""
     objs = [_load_object(path) for path in paths]
     for path, obj in zip(paths, objs):
-        if not isinstance(obj, kind):
-            raise InvalidObject(path, f"expected {noun}")
+        if not isinstance(obj, kinds):
+            noun = " or ".join(KINDS[kind] for kind in kinds)
+            raise InvalidObject(f"{path}: expected a {noun}")
+    if AntipodalArrangement in kinds:
+        return [o.to_arrangement() if isinstance(o, NormalSystem) else o for o in objs]
     return objs
-
-
-def _emit(args, payload: dict, text_lines):
-    out = sys.stdout
-    close = False
-    if args.output:
-        out = open(args.output, "w")
-        close = True
-    try:
-        if args.format == "json":
-            json.dump(payload, out, indent=1, sort_keys=True)
-            out.write("\n")
-        else:
-            for line in text_lines:
-                out.write(line + "\n")
-    finally:
-        if close:
-            out.close()
 
 
 def _witness_dict(w) -> dict:
@@ -125,117 +120,86 @@ def _witness_text(w) -> str:
     return f"pi=({pi}) mu=({mu})"
 
 
-def cmd_validate(args) -> int:
+def _verdict(iso: bool, payload: dict, lines: list):
+    """An isomorphism decision: the verdict heads the payload and the text,
+    and a non-isomorphic pair exits 3."""
+    head = "isomorphic" if iso else "non-isomorphic"
+    code = EXIT_OK if iso else EXIT_NONISO
+    return {"isomorphic": iso, **payload}, [head] + lines, code
+
+
+def cmd_validate(args):
     # construction validates: an invalid object raises InvalidObject
-    kind = {
-        NormalSystem: "normal-system",
-        AntipodalArrangement: "sphere-arrangement",
-        HyperplaneArrangement: "hyperplane-arrangement",
-    }[type(_load_object(args.path))]
-    _emit(args, {"kind": kind, "valid": True}, [f"{kind}: valid"])
-    return EXIT_OK
+    kind = KINDS[type(_load_object(args.path))].replace(" ", "-")
+    return {"kind": kind, "valid": True}, [f"{kind}: valid"], EXIT_OK
 
 
-def _as_sphere(obj, path: str) -> AntipodalArrangement:
-    if isinstance(obj, NormalSystem):
-        return obj.to_arrangement()
-    if isinstance(obj, AntipodalArrangement):
-        return obj
-    raise InvalidObject(path, "expected a normal system or sphere arrangement")
-
-
-def cmd_cycles(args) -> int:
-    arr = _as_sphere(_load_object(args.path), args.path)
-    inv = all_cycle_invariants(arr)
-    payload = inv.to_json_dict()
+def cmd_cycles(args):
+    [arr] = _load_required(SPHERE, args.path)
+    payload = all_cycle_invariants(arr).to_json_dict()
     lines = [f"{key}: ({' '.join(map(str, cyc))})" for key, cyc in payload.items()]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def cmd_ns_iso(args) -> int:
-    ns1, ns2 = _load_required(NormalSystem, "a normal system", args.path1, args.path2)
-    if args.oracle:
-        witnesses = oracle_isomorphisms(ns1, ns2)
-    else:
-        witnesses = find_isomorphisms(ns1, ns2)
-    iso = bool(witnesses)
-    payload = {
-        "isomorphic": iso,
-        "witnesses": [_witness_dict(w) for w in witnesses],
-    }
-    lines = ["isomorphic" if iso else "non-isomorphic"]
-    lines += [_witness_text(w) for w in witnesses]
-    _emit(args, payload, lines)
-    return EXIT_OK if iso else EXIT_NONISO
-
-
-def cmd_ha_iso(args) -> int:
-    ha1, ha2 = _load_required(
-        HyperplaneArrangement, "a hyperplane arrangement", args.path1, args.path2
+def cmd_ns_iso(args):
+    ns1, ns2 = _load_required((NormalSystem,), args.path1, args.path2)
+    search = oracle_isomorphisms if args.oracle else find_isomorphisms
+    witnesses = search(ns1, ns2)
+    return _verdict(
+        bool(witnesses),
+        {"witnesses": [_witness_dict(w) for w in witnesses]},
+        [_witness_text(w) for w in witnesses],
     )
+
+
+def cmd_ha_iso(args):
+    ha1, ha2 = _load_required((HyperplaneArrangement,), args.path1, args.path2)
     if args.oracle:
         iso = arrangements.definition_oracle_isomorphic(ha1, ha2)
-        payload = {"isomorphic": iso, "method": "definition-oracle"}
-        lines = ["isomorphic" if iso else "non-isomorphic"]
-    else:
-        result = arrangements.arrangements_isomorphic(ha1, ha2)
-        iso = result.isomorphic
-        payload = {"isomorphic": iso}
-        lines = ["isomorphic" if iso else "non-isomorphic"]
-        if iso:
-            payload["witness"] = _witness_dict(result.witness)
-            payload["branch"] = result.branch
-            lines.append(f"{_witness_text(result.witness)} branch={result.branch}")
-    _emit(args, payload, lines)
-    return EXIT_OK if iso else EXIT_NONISO
-
-
-def cmd_regions(args) -> int:
-    [ha] = _load_required(HyperplaneArrangement, "a hyperplane arrangement", args.path)
-    total, bounded, unbounded = arrangements.region_counts(ha)
-    predicted = arrangements.predicted_counts(ha.n, ha.m)
-    formula_ok = (total, bounded, unbounded) == predicted
-    payload = {
-        "total": total,
-        "bounded": bounded,
-        "unbounded": unbounded,
-        "formula": "OK" if formula_ok else "MISMATCH",
-    }
-    _emit(
-        args,
-        payload,
-        [
-            f"total={total} bounded={bounded} unbounded={unbounded} "
-            f"formula={'OK' if formula_ok else 'MISMATCH'}"
-        ],
+        return _verdict(iso, {"method": "definition-oracle"}, [])
+    result = arrangements.arrangements_isomorphic(ha1, ha2)
+    if not result.isomorphic:
+        return _verdict(False, {}, [])
+    w, branch = result.witness, result.branch
+    return _verdict(
+        True,
+        {"witness": _witness_dict(w), "branch": branch},
+        [f"{_witness_text(w)} branch={branch}"],
     )
-    return EXIT_OK
 
 
-def cmd_signs(args) -> int:
-    [ha] = _load_required(HyperplaneArrangement, "a hyperplane arrangement", args.path)
+def cmd_regions(args):
+    [ha] = _load_required((HyperplaneArrangement,), args.path)
+    counts = arrangements.region_counts(ha)
+    formula_ok = counts == arrangements.predicted_counts(ha.n, ha.m)
+    payload = dict(
+        zip(("total", "bounded", "unbounded"), counts),
+        formula="OK" if formula_ok else "MISMATCH",
+    )
+    return payload, [" ".join(f"{k}={v}" for k, v in payload.items())], EXIT_OK
+
+
+def cmd_signs(args):
+    [ha] = _load_required((HyperplaneArrangement,), args.path)
     hom = arrangements.concurrency_sign_map(ha)
     payload = {",".join(map(str, k)): v for k, v in hom.signs.items()}
     lines = [f"{key}: {'+' if v > 0 else '-'}" for key, v in payload.items()]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def cmd_symbols(args) -> int:
+def cmd_symbols(args):
     if args.path:
-        arr = _as_sphere(_load_object(args.path), args.path)
+        [arr] = _load_required(SPHERE, args.path)
     else:
         arr = fixtures.load_fixture("S4-standard").payload
     if arr.n != 4 or arr.dim_k != 2:
-        raise InvalidObject(args.path or "<standard>", "need a four-pair 2-sphere arrangement")
-    syms = sorted(compatible_symbols(arr))
-    payload = {"symbols": [str(s) for s in syms]}
-    _emit(args, payload, [str(s) for s in syms])
-    return EXIT_OK
+        path = args.path or "<standard>"
+        raise InvalidObject(f"{path}: need a four-pair 2-sphere arrangement")
+    syms = [str(s) for s in sorted(compatible_symbols(arr))]
+    return {"symbols": syms}, syms, EXIT_OK
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args):
     reports = fixtures.verify_all()
     ok = sum(1 for r in reports if r.ok)
     lines = []
@@ -249,8 +213,20 @@ def cmd_verify_paper(args) -> int:
         "total": len(reports),
         "reports": {r.id: list(r.diffs) for r in reports},
     }
-    _emit(args, payload, lines)
-    return EXIT_OK if ok == len(reports) else EXIT_INVALID
+    return payload, lines, EXIT_OK if ok == len(reports) else EXIT_INVALID
+
+
+# (name, handler, help, positionals); a trailing "?" marks an optional one
+COMMANDS = (
+    ("validate", cmd_validate, "check an object file", ("path",)),
+    ("cycles", cmd_cycles, "line-cycle invariant family", ("path",)),
+    ("ns-iso", cmd_ns_iso, "normal-system isomorphism decision", ("path1", "path2")),
+    ("ha-iso", cmd_ha_iso, "hyperplane-arrangement isomorphism decision", ("path1", "path2")),
+    ("regions", cmd_regions, "region counts with formula cross-check", ("path",)),
+    ("signs", cmd_signs, "concurrency sign map", ("path",)),
+    ("symbols", cmd_symbols, "compatible symbols of a four-pair arrangement", ("path?",)),
+    ("verify-paper", cmd_verify_paper, "verify all bundled fixtures", ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,40 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle", action="store_true", help="force the brute-force decision path"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check an object file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("cycles", help="line-cycle invariant family")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_cycles)
-
-    p = sub.add_parser("ns-iso", help="normal-system isomorphism decision")
-    p.add_argument("path1")
-    p.add_argument("path2")
-    p.set_defaults(func=cmd_ns_iso)
-
-    p = sub.add_parser("ha-iso", help="hyperplane-arrangement isomorphism decision")
-    p.add_argument("path1")
-    p.add_argument("path2")
-    p.set_defaults(func=cmd_ha_iso)
-
-    p = sub.add_parser("regions", help="region counts with formula cross-check")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_regions)
-
-    p = sub.add_parser("signs", help="concurrency sign map")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_signs)
-
-    p = sub.add_parser("symbols", help="compatible symbols of a four-pair arrangement")
-    p.add_argument("path", nargs="?", default=None)
-    p.set_defaults(func=cmd_symbols)
-
-    p = sub.add_parser("verify-paper", help="verify all bundled fixtures")
-    p.set_defaults(func=cmd_verify_paper)
-
+    for name, handler, help_text, positionals in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            p.add_argument(arg.rstrip("?"), nargs="?" if arg.endswith("?") else None)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -309,19 +256,28 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
     except ParseFailure as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InvalidObject as exc:
         print(f"invalid object: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:  # inputs are read by _load_json, so this is --output
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    # the output file is opened only once the command has returned
+    try:
+        with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+            if args.format == "json":
+                json.dump(payload, out, indent=1, sort_keys=True)
+                out.write("\n")
+            else:
+                out.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return code
 
 
 if __name__ == "__main__":

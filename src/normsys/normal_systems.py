@@ -116,12 +116,22 @@ class NormalSystem(Frozen):
         return f"NormalSystem(m={self.m}, n={self.n})"
 
 
+def _check_pair(ns1: NormalSystem, ns2: NormalSystem) -> None:
+    """Raise ValueError unless the systems share m and n and both are valid;
+    the decider and both oracles start here."""
+    if ns1.m != ns2.m:
+        raise ValueError("ambient dimensions differ")
+    if ns1.n != ns2.n:
+        raise ValueError("system sizes differ")
+    if not (ns1.is_valid() and ns2.is_valid()):
+        raise ValueError("inputs must be valid normal systems")
+
+
 def is_convex_positive_bijection(
     w: SignedBijection, ns1: NormalSystem, ns2: NormalSystem
 ) -> bool:
     """True iff w preserves positive combinations in both directions."""
-    if ns1.n != ns2.n or ns1.m != ns2.m:
-        raise ValueError("systems must share n and m")
+    _check_pair(ns1, ns2)
     if set(w.labels) != set(ns1.labels):
         raise ValueError("witness labels do not match the systems")
     return pullback_sign(ns1.chirotope, ns2.chirotope, w) != 0
@@ -129,10 +139,7 @@ def is_convex_positive_bijection(
 
 def oracle_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBijection]:
     """Ground truth by exhaustive search over all signed bijections."""
-    if ns1.m != ns2.m:
-        raise ValueError("ambient dimensions differ")
-    if ns1.n != ns2.n:
-        raise ValueError("system sizes differ")
+    _check_pair(ns1, ns2)
     if ns1.n > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}")
     chi1, chi2 = ns1.chirotope, ns2.chirotope
@@ -266,12 +273,7 @@ def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBiject
     not isomorphic; raises ValueError when the shape fixes more than
     MAX_WITNESSES witnesses.
     """
-    if ns1.m != ns2.m:
-        raise ValueError("ambient dimensions differ")
-    if ns1.n != ns2.n:
-        raise ValueError("system sizes differ")
-    if not (ns1.is_valid() and ns2.is_valid()):
-        raise ValueError("inputs must be valid normal systems")
+    _check_pair(ns1, ns2)
     if ns1.n <= ns1.m:
         # no label lies outside a base, so every signed bijection works
         _enumerable(2**ns1.n * factorial(ns1.n))

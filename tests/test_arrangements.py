@@ -449,10 +449,10 @@ def test_self_isomorphic():
     assert res.isomorphic
 
 
-def test_isomorphism_rejects_input_not_in_general_position():
-    # an arrangement error in either position, never a normal-system one
+def not_in_general_position():
+    """(invalid arrangement, valid one of its shape, the error's pattern)"""
     bad_input = "not a general-position hyperplane arrangement"
-    cases = [
+    return [
         (  # two parallel lines
             HyperplaneArrangement(2, [[1, 0], [1, 0]], [0, 1], check=False),
             HyperplaneArrangement(2, [[1, 0], [0, 1]], [0, 0]),
@@ -469,11 +469,25 @@ def test_isomorphism_rejects_input_not_in_general_position():
             bad_input,
         ),
     ]
-    for bad, good, message in cases:
+
+
+def test_isomorphism_rejects_input_not_in_general_position():
+    # an arrangement error in either position, never a normal-system one
+    for bad, good, message in not_in_general_position():
         for pair in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match=message):
                 arrangements_isomorphic(*pair)
         assert arrangements_isomorphic(good, good).isomorphic
+
+
+def test_definition_oracle_rejects_what_the_decider_rejects():
+    # the concurrent x = 0, y = 0, x + y = 0 is refused, not found isomorphic
+    # to itself
+    for bad, good, message in not_in_general_position():
+        for pair in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(ValueError, match=message):
+                definition_oracle_isomorphic(*pair)
+        assert definition_oracle_isomorphic(good, good)
 
 
 def test_cone_move_flips_exactly_one_sign():

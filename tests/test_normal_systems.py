@@ -538,6 +538,21 @@ def test_mismatched_shapes_rejected():
         find_isomorphisms(a, b)
 
 
+def test_oracle_rejects_invalid_input_like_the_decider():
+    # two parallel vectors, built without the check: the exhaustive oracle
+    # and the witness test refuse it as find_isomorphisms does, rather
+    # than list witnesses of an object that is not a normal system
+    bad = NormalSystem(2, [[1, 0], [2, 0], [0, 1]], check=False)
+    ident = SignedBijection.identity(bad.labels)
+    for decide in (
+        find_isomorphisms,
+        oracle_isomorphisms,
+        lambda a, b: is_convex_positive_bijection(ident, a, b),
+    ):
+        with pytest.raises(ValueError, match="inputs must be valid normal systems"):
+            decide(bad, bad)
+
+
 def test_oracle_size_guard():
     rng = random.Random(31)
     big = random_normal_system(rng, 2, 8)
