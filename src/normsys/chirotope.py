@@ -13,6 +13,11 @@ k-subset of labels, each built from those of the first k - 1.  Rational
 vectors are first scaled to integers by the positive LCM of their
 denominators; quadratic-extension vectors are used as they are.  The same
 minors, as values, give the wall circuits of ``arrangements.cone_facets``.
+
+What is read off χ's signs alone (the dual, the first zero base, the
+contraction orders, the search's neighbour tables and fingerprints) is
+built on first use and kept, read-only, by ``Chirotope._table``; nothing
+that depends on a pair, a pin or a result is kept.
 """
 
 from __future__ import annotations
@@ -84,12 +89,22 @@ class Chirotope(Frozen):
     sequence of distinct labels gives the sign for the rows in that order.
     """
 
-    __slots__ = ("rank", "labels", "signs")
+    __slots__ = ("rank", "labels", "signs", "_tables")
 
     def __init__(self, rank: int, vectors: Dict[int, Sequence[FieldValue]]):
         _, minors = scaled_minors(rank, vectors)
         signs = {base: (d > 0) - (d < 0) for base, d in minors.items()}
         self._set(rank, tuple(sorted(vectors)), signs)
+
+    def _set(self, rank, labels, signs):
+        super()._set(rank, labels, signs, {})
+
+    def _table(self, build):
+        """build(self), kept from the first call (two racing threads build equal values)."""
+        tables = self._tables
+        if build not in tables:
+            tables[build] = build(self)
+        return tables[build]
 
     def __call__(self, seq: Sequence[int]) -> int:
         s = self.signs[tuple(sorted(seq))]
@@ -102,12 +117,19 @@ class Chirotope(Frozen):
 
     def zero(self) -> Optional[Tuple[int, ...]]:
         """The first sorted subset whose vectors are dependent, or None."""
+        return self._table(Chirotope._zero)
+
+    def _zero(self):
         return next((base for base, s in self.signs.items() if s == 0), None)
 
     def dual(self) -> "Chirotope":
-        """The dual, of rank n - rank on the same labels (Björner et al.
-        1993, 3.4): chi*(T) = chi(T') sgn(T', T), T' the sorted complement
-        of T, sgn the parity of sorting T' + T; +-chi of the Gale transform.
+        """The dual, of rank n - rank on the same labels (``_dual``)."""
+        return self._table(Chirotope._dual)
+
+    def _dual(self) -> "Chirotope":
+        """The dual (Björner et al. 1993, 3.4): chi*(T) = chi(T')
+        sgn(T', T), T' the sorted complement of T, sgn the parity of
+        sorting T' + T; +-chi of the Gale transform.
 
         T' + T sorts by moving each T'_j past the c_j - j labels of T
         below it, c_j its position among the labels, so the parity is

@@ -10,7 +10,7 @@ chirotope, without projecting: each cycle is the cyclic order of lines of
 a rank-2 contraction.  ``contraction_orders`` builds the orders of every
 contraction by a (rank-2)-subset in one pass over the bases, counting for
 each line the lines before it; the isomorphism search aligns the same
-orders directly.
+orders directly; both read the orders kept with chi (``Chirotope._table``).
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def chirotope_cycles(chi: Chirotope) -> CycleInvariantSet:
     bad = chi.zero()
     if bad is not None:
         raise ValueError(f"dependent subset {bad}: not in general position")
-    orders = contraction_orders(chi)
+    orders = chi._table(contraction_orders)
     cycles: Dict[CycleKey, LineCycle] = {}
     for subset in combinations(chi.labels, chi.rank - 3):
         for j in chi.labels:

@@ -8,7 +8,8 @@ class Frozen:
 
     Two instances are equal iff they have the same type and equal slot
     values, and the hash is that of the slot values; an instance that
-    holds a dict or a list is therefore unhashable.
+    holds a dict or a list is therefore unhashable.  Slots named with a
+    leading underscore hold derived tables and take no part in either.
     """
 
     __slots__ = ()
@@ -30,7 +31,7 @@ class Frozen:
         return obj
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self.__slots__ if name[0] != "_"])
 
     def __eq__(self, other):
         if type(other) is not type(self):

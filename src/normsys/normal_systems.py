@@ -4,10 +4,11 @@ A normal system is an indexed family of n nonzero vectors in F^m such that
 every subset of size at most m is linearly independent.  Two systems are
 isomorphic when a signed bijection of the vectors preserves positive
 combinations in both directions.  The decision runs two ways: a brute-force
-oracle over all signed bijections, and one search for every m that reads
-candidate permutations off the cyclic orders of lines in the rank-2
-contractions of the chirotope (the line cycles of the sphere arrangement),
-then solves the signs and checks every base in one pass per candidate.
+oracle over all permutations, with the signs that exchanges leave, and one
+search for every m that reads candidate permutations off the cyclic orders
+of lines in the rank-2 contractions of the chirotope (the line cycles of
+the sphere arrangement), then solves the signs and checks every base in
+one pass per candidate.
 A signed bijection is a witness of chi iff it is one of the dual chi*, so
 the whole search runs on the duals, of rank n - m, when that rank is lower.
 """
@@ -32,7 +33,7 @@ from .symbols import SignedBijection, all_signed_bijections
 
 # Where the shape alone fixes the witnesses, they are all enumerated: 2^n n!
 # with n <= m, 2 per permutation at searched rank 1.  The bound is n = 7, as
-# for the exhaustive oracle, which tries all 2^n n! signed bijections.
+# for the exhaustive oracle, which tries all n! permutations.
 MAX_WITNESSES = 2**7 * factorial(7)
 ORACLE_MAX_N = 7
 
@@ -138,12 +139,33 @@ def is_convex_positive_bijection(
 
 
 def oracle_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBijection]:
-    """Ground truth by exhaustive search over all signed bijections."""
+    """Ground truth: the signed bijections that ``pullback_sign`` accepts,
+    in ``all_signed_bijections`` order.  With n > m a witness has
+    s(B) mu(B) = eps on every base, s(B) = chi1(B) chi2(pi B), so with B0
+    the first base mu(u) mu(b) = s(B0) s(B0 - b + u): mu(b0) = 1 and the
+    exchanges at b0, then with the first label outside B0, leave one mu
+    per permutation, tested as -mu and mu.  With n <= m all are tested.
+    """
     _check_pair(ns1, ns2)
     if ns1.n > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}")
-    chi1, chi2 = ns1.chirotope, ns2.chirotope
-    return [w for w in all_signed_bijections(ns1.labels) if pullback_sign(chi1, chi2, w)]
+    chi1, chi2, labels, m = ns1.chirotope, ns2.chirotope, ns1.labels, ns1.m
+    if ns1.n <= m:
+        return [w for w in all_signed_bijections(labels) if pullback_sign(chi1, chi2, w)]
+    base, b0, u1 = set(labels[:m]), labels[0], labels[m]
+    found = []
+    for images in permutations(labels):
+        perm = dict(zip(labels, images))
+
+        def s(b, u):  # s(B0 - b + u)
+            sub = tuple(sorted(base - {b} | {u}))
+            return chi1.signs[sub] * chi2([perm[i] for i in sub])
+
+        ref, t = s(b0, b0), s(b0, u1)  # mu(u1) = ref t, so mu(b) = t s(B0 - b + u1)
+        mu = {i: s(i, u1) * t if i in base else s(b0, i) * ref for i in labels}
+        w = SignedBijection._of(perm, mu)
+        found += [v for v in (w.negate(), w) if pullback_sign(chi1, chi2, v)]
+    return found
 
 
 def _neighbours(order: Sequence[int]) -> Dict[int, Tuple[int, int]]:
@@ -159,18 +181,19 @@ def _aligned(perm: Dict[int, int], order: Sequence[int], nbrs) -> bool:
     return all(perm[b] in nbrs[perm[a]] for a, b in zip(order, order[1:] + order[:1]))
 
 
-def _fingerprints(labels, nbrs) -> Dict[tuple, tuple]:
-    """The fingerprint of every (r-2)-subset H, from the neighbour tables
-    of the orders: the sorted tuple, over h in H, of the number of
-    consecutive pairs (q, p) of order(H) with p next to h in
+def _fingerprints(chi: Chirotope):
+    """The neighbour table of every contraction order of chi, and the
+    fingerprint of every (r-2)-subset H: the sorted tuple, over h in H, of
+    the number of consecutive pairs (q, p) of order(H) with p next to h in
     order(H - h + q) and q next to h in order(H - h + p), the triangles at
     h in chi/(H - h).  A witness carries each order onto its image's up to
     rotation and reversal, so fp2(pi H) = fp1(H).  Each (r-3)-subset
-    G = H - h is visited once; () at rank 2.
+    G = H - h is visited once; () at rank 2.  Kept with chi.
     """
-    size = len(next(iter(nbrs)))
+    labels, size = chi.labels, chi.rank - 2
+    nbrs = {h: _neighbours(o) for h, o in chi._table(contraction_orders).items()}
     if not size:
-        return {(): ()}
+        return nbrs, {(): ()}
     counts = {head: [] for head in nbrs}
     for g in combinations(labels, size - 1):
         up = {x: tuple(sorted(g + (x,))) for x in labels if x not in g}
@@ -178,7 +201,7 @@ def _fingerprints(labels, nbrs) -> Dict[tuple, tuple]:
         for h, mine in nb.items():
             triangles = [q for q, (_, p) in mine.items() if p in nb[q][h] and q in nb[p][h]]
             counts[up[h]].append(len(triangles))
-    return {head: tuple(sorted(c)) for head, c in counts.items()}
+    return nbrs, {head: tuple(sorted(c)) for head, c in counts.items()}
 
 
 def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
@@ -212,10 +235,8 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
                 yield perm
         return
     subsets = list(combinations(labels, r - 2))
-    orders1, orders2 = contraction_orders(chi1), contraction_orders(chi2)
-    fp1 = _fingerprints(labels, {h: _neighbours(o) for h, o in orders1.items()})
-    nbrs2 = {h: _neighbours(o) for h, o in orders2.items()}
-    fp2 = _fingerprints(labels, nbrs2)
+    orders1, orders2 = chi1._table(contraction_orders), chi2._table(contraction_orders)
+    (_, fp1), (nbrs2, fp2) = chi1._table(_fingerprints), chi2._table(_fingerprints)
     if sorted(fp1.values()) != sorted(fp2.values()):
         return
     heads = [h for h in subsets if pin in h] or subsets

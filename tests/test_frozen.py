@@ -18,9 +18,13 @@ from normsys import (
     SignedBijection,
     SpherePoint,
     Symbol,
+    find_isomorphisms,
 )
+from normsys.arrangements import arrangements_isomorphic
 from normsys.chirotope import Chirotope
+from normsys.cycles import contraction_orders
 from normsys.fixtures import Equation, FixtureReport
+from normsys.normal_systems import _witnesses
 from normsys.sphere import PositiveCombination
 
 ROWS = [[1, 0], [0, 1], [1, 1]]
@@ -115,3 +119,50 @@ def test_arrangements_from_equal_rows_are_equal():
     ha2 = HyperplaneArrangement(2, [list(r) for r in ROWS], list(CONSTANTS))
     assert ha1 == ha2
     assert ha1 != HyperplaneArrangement(2, ROWS, [0, 0, 2])
+
+
+
+# (3,6) rows in general position: the dual has rank 3, the search has a probe
+ROWS6 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 4], [1, 3, 9]]
+
+# each entry: (build from fixed data, the chirotope it owns, a decision on it)
+TABLE_CASES = {
+    "Chirotope": (
+        lambda: Chirotope(3, dict(enumerate(ROWS6, 1))),
+        lambda chi: chi,
+        lambda chi: _witnesses(chi, chi),
+    ),
+    "NormalSystem": (
+        lambda: NormalSystem(3, ROWS6),
+        lambda ns: ns.chirotope,
+        lambda ns: find_isomorphisms(ns, ns),
+    ),
+    "HyperplaneArrangement": (
+        lambda: HyperplaneArrangement(2, [[1, 0], [0, 1], [1, 1], [1, 2], [1, 3]], [0, 1, 3, 7, 13]),
+        lambda ha: ha.lift.chirotope,
+        lambda ha: arrangements_isomorphic(ha, ha),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_kept_tables_are_invisible(name):
+    """Filling the tables a chirotope keeps (dual, zero, contraction orders,
+    a decision's search tables) changes neither ``==``, nor
+    unhashability, nor ``repr``, of the chirotope or of the object that
+    owns it: a warm object equals a cold one built from equal data."""
+    build, owned, decide = TABLE_CASES[name]
+    warm, cold = build(), build()
+    before = repr(warm), repr(owned(warm))
+    chi = owned(warm)
+    steps = [chi.dual, chi.zero, lambda: chi._table(contraction_orders), lambda: decide(warm)]
+    for step in steps:
+        step()
+        for x, y in ((warm, cold), (chi, owned(cold))):
+            assert x == y and y == x and not x != y
+            for obj in (x, y):
+                with pytest.raises(TypeError):
+                    hash(obj)
+        assert (repr(warm), repr(chi)) == (repr(cold), repr(owned(cold))) == before
+    assert len(chi._tables) > len(owned(cold)._tables)  # cold: at most its validity scan
+    assert chi.dual() is chi.dual() and chi.dual() == owned(cold).dual()

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normsys import (
+    HyperplaneArrangement,
     NormalSystem,
     SignedBijection,
     SpherePoint,
+    all_cycle_invariants,
     find_isomorphisms,
     is_convex_positive_bijection,
     load_fixture,
@@ -326,8 +328,7 @@ def test_pinned_dual_route_matches_the_primal_search(m):
 
 def _fingerprint_table(chi):
     """fp(H) for every (r-2)-subset H of chi, as ``_candidates`` reads it."""
-    orders = contraction_orders(chi)
-    return _fingerprints(chi.labels, {h: _neighbours(o) for h, o in orders.items()})
+    return _fingerprints(chi)[1]
 
 
 @pytest.mark.parametrize("r,n", [(3, 6), (3, 7), (4, 8), (5, 10)])
@@ -665,3 +666,81 @@ def test_chirotope_witness_test_matches_coefficient_signs(d):
                 accepted += expected
             if b is planted:
                 assert accepted >= 2
+
+
+# both sides of 2m > n, over Q, Q(sqrt 2) and Q(sqrt 5)
+KEPT_SHAPES = [(3, 7, None), (4, 8, 2), (3, 6, 5), (5, 7, None), (4, 6, 2), (5, 8, 5)]
+
+
+@pytest.mark.parametrize("m,n,d", KEPT_SHAPES)
+def test_kept_tables_give_the_results_of_fresh_objects(m, n, d):
+    """Every ordered pair of a system, a planted copy and an independent
+    system (self pairs included), decided twice on the same objects,
+    gives what it gives on fresh copies, whose tables are cold; so do
+    ``arrangements_isomorphic`` on arrangements, whose pinned lifts keep
+    the tables, and ``all_cycle_invariants`` on the sphere views."""
+    rng = random.Random(2200 + 10 * m + n + (d or 0))
+    a = random_normal_system(rng, m, n, d)
+    systems = [a, transformed_system(rng, a, d), random_normal_system(rng, m, n, d)]
+    ha = random_arrangement(rng, m - 1, n - 1, d)
+    arrs = [ha, planted_arrangement(rng, ha, d), random_arrangement(rng, m - 1, n - 1, d)]
+
+    def fresh(x):
+        if isinstance(x, NormalSystem):
+            return NormalSystem(x.m, x.vectors)
+        return HyperplaneArrangement(x.m, x.coeffs, x.constants)
+
+    for decide, objs in ((find_isomorphisms, systems), (arrangements_isomorphic, arrs)):
+        for x in objs:
+            for y in objs:
+                want = decide(fresh(x), fresh(y))
+                assert decide(x, y) == decide(x, y) == want
+    assert find_isomorphisms(*systems[:2]) and arrangements_isomorphic(*arrs[:2]).isomorphic
+    for x in systems:
+        want = all_cycle_invariants(fresh(x).to_arrangement())
+        assert all_cycle_invariants(x.to_arrangement()) == want
+        assert all_cycle_invariants(x.to_arrangement()) == want
+
+
+@pytest.mark.parametrize("m,n", [(3, 8), (5, 8)])
+def test_pair_sweep_builds_each_table_once(monkeypatch, m, n):
+    """Deciding every ordered pair of k systems builds the contraction
+    orders and the fingerprints of each searched chirotope once (the
+    duals' when 2m > n), and each dual once."""
+    orders, fingerprints, duals = [], [], []
+    rng = random.Random(2300 + m)
+    a = random_normal_system(rng, m, n)
+    systems = [a, transformed_system(rng, a)] + [random_normal_system(rng, m, n) for _ in range(3)]
+    monkeypatch.setattr(
+        normal_systems, "contraction_orders", lambda chi: orders.append(chi) or contraction_orders(chi)
+    )
+    monkeypatch.setattr(
+        normal_systems, "_fingerprints", lambda chi: fingerprints.append(chi) or _fingerprints(chi)
+    )
+    inner = Chirotope._dual
+    monkeypatch.setattr(Chirotope, "_dual", lambda chi: duals.append(chi) or inner(chi))
+    for x in systems:
+        for y in systems:
+            find_isomorphisms(x, y)
+    searched = [ns.chirotope.dual() if 2 * m > n else ns.chirotope for ns in systems]
+    assert list(map(id, orders)) == list(map(id, fingerprints)) == list(map(id, searched))
+    assert list(map(id, duals)) == [id(ns.chirotope) for ns in systems if 2 * m > n]
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+def test_oracle_equals_the_exhaustive_filter(d):
+    """The oracle tests 2 n! signed bijections when n > m; it returns
+    exactly the list, in order, of every signed bijection that
+    ``pullback_sign`` accepts: m = 1..4, n = 1..5, planted, independent
+    and self pairs."""
+    rng = random.Random(2400 + (d or 0))
+    for m in range(1, 5):
+        for n in range(1, 6):
+            a = random_normal_system(rng, m, n, d)
+            for b in (transformed_system(rng, a, d), random_normal_system(rng, m, n, d), a):
+                want = [
+                    w for w in all_signed_bijections(a.labels)
+                    if pullback_sign(a.chirotope, b.chirotope, w)
+                ]
+                assert oracle_isomorphisms(a, b) == want
+                assert want or b is not a
