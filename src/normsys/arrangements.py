@@ -1,13 +1,13 @@
 """Hyperplane arrangements in general position.
 
-Covers validation, region enumeration with boundedness, orientation
-checks of simplices, polyhedralities, the sign-map isomorphism decision,
-single cone moves of the constants vector, and the hyperplane-at-infinity
-ordering search.  All but the cone LPs are read off one chirotope, of the
-lift: the rows (a_i | c_i) and e = (0, ..., 0, 1).  The concurrency sign
-map is its deletion of e, chi_hom, itself a ``Chirotope``.  Isomorphism is
-the normal-system decider on the lifts with e fixed.  Cone facets and
-moves are exact LPs over the wall circuits of the normals.
+Covers validation, region enumeration with boundedness, polyhedralities,
+the sign-map isomorphism decision, single cone moves of the constants
+vector, and the hyperplane-at-infinity ordering search.  All but the cone
+LPs are read off one chirotope, of the lift: the rows (a_i | c_i) and
+e = (0, ..., 0, 1).  The concurrency sign map is its deletion of e,
+chi_hom, itself a ``Chirotope``.  Isomorphism is the normal-system decider
+on the lifts with e fixed.  Cone facets and moves are exact LPs over the
+wall circuits of the normals.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .chirotope import Chirotope, scaled_minors
-from .field import FieldValue, format_value, parse_value, sign
+from .field import FieldValue, format_value, parse_value
 from .frozen import Frozen
 from .linalg import Matrix
 from .normal_systems import NormalSystem, _witnesses
@@ -228,40 +228,9 @@ def predicted_counts(n: int, m: int) -> Tuple[int, int, int]:
     return total, bounded, unbounded
 
 
-def vertex_orientation(points: Sequence[Sequence[FieldValue]]) -> int:
-    """Sign of the determinant of rows (1, P_i)."""
-    mat = Matrix([[Fraction(1)] + list(p) for p in points])
-    s = sign(linalg.det(mat))
-    if s == 0:
-        raise ValueError("points are affinely dependent")
-    return s
-
-
 def _vertex(ha: HyperplaneArrangement, subset: Sequence[int]) -> tuple:
     a = Matrix([ha.row(i) for i in subset])
     return linalg.solve(a, [ha.constant(i) for i in subset])
-
-
-def simplex_orientation_check(
-    ha: HyperplaneArrangement,
-) -> Tuple[int, int]:
-    """For an (m+1)-hyperplane arrangement with outward normals, the sign of
-    the vertex orientation [P_1...P_{m+1}] and of det(rows (a_i | c_i)).
-
-    P_i is the vertex opposite hyperplane i; outwardness means
-    a_i . P_i < c_i for every i.
-    """
-    if ha.n != ha.m + 1:
-        raise ValueError("expected exactly m + 1 hyperplanes")
-    verts = []
-    for i in ha.labels:
-        rest = [j for j in ha.labels if j != i]
-        p = _vertex(ha, rest)
-        lhs = sum(a * x for a, x in zip(ha.row(i), p))
-        if not sign(lhs - ha.constant(i)) < 0:
-            raise ValueError(f"normal {i} is not outward")
-        verts.append(p)
-    return vertex_orientation(verts), ha.lift.chirotope.signs[ha.labels]
 
 
 def polyhedralities(ha: HyperplaneArrangement) -> List[Tuple[int, ...]]:
@@ -303,8 +272,8 @@ def _check_pair(ha1: HyperplaneArrangement, ha2: HyperplaneArrangement) -> None:
     if ha1.m != ha2.m or ha1.n != ha2.n:
         raise ValueError("arrangements must share n and m")
     for ha in (ha1, ha2):
-        concurrency_sign_map(ha)  # names a concurrent subset
         if not ha.is_valid():
+            concurrency_sign_map(ha)  # names a concurrent subset
             raise ValueError(_INVALID)
 
 
@@ -512,10 +481,12 @@ def adjacent_cone_constants(
     The LP of ``cone_facets`` against every other wall gives a certificate
     z with v_S . z < 0 <= v_T . z for T != S, and c + 2 t0 z with
     t0 = v_S . c / (-v_S . z) negates v_S . c and lowers no other v_T . c.
-    Raises ValueError("subset is not a cone facet") on any other subset.
+    Raises ValueError("subset is not a cone facet") on any other subset,
+    and the ValueError of ``cone_facets`` on input not in general position.
     """
     facet = tuple(sorted(facet))
     walls, m = _circuits(ha), ha.m
+    _sides(ha)  # raises on input not in general position
     if facet not in walls:
         raise ValueError("subset must be m + 1 distinct hyperplane labels")
     v = walls[facet]
@@ -555,17 +526,3 @@ def is_infinity_arrangement(
 
     result = extend(frozenset(), ())
     return result is not None, result
-
-
-def affine_image(
-    ha: HyperplaneArrangement, mat: Matrix, shift: Sequence[FieldValue]
-) -> HyperplaneArrangement:
-    """The arrangement of the images of the hyperplanes under x -> M x + t."""
-    if sign(linalg.det(mat)) == 0:
-        raise ValueError("affine map must be invertible")
-    coeffs, constants = [], []
-    for row, c in zip(ha.coeffs, ha.constants):
-        new_row = linalg.solve(mat.transpose(), row)  # a M^{-1} as a row vector
-        coeffs.append(list(new_row))
-        constants.append(c + sum(x * t for x, t in zip(new_row, shift)))
-    return HyperplaneArrangement(ha.m, coeffs, constants)

@@ -16,7 +16,6 @@ from normsys import (
     NormalSystem,
     QuadExt,
     SignedBijection,
-    affine_image,
     det,
     positive_combination,
     sign,
@@ -150,6 +149,20 @@ def transformed_system(rng: random.Random, ns: NormalSystem, d=None) -> NormalSy
     return planted_system(rng, ns, d)[0]
 
 
+def affine_image(
+    ha: HyperplaneArrangement, mat: Matrix, shift
+) -> HyperplaneArrangement:
+    """The arrangement of the images of the hyperplanes under x -> M x + t."""
+    if sign(det(mat)) == 0:
+        raise ValueError("affine map must be invertible")
+    coeffs, constants = [], []
+    for row, c in zip(ha.coeffs, ha.constants):
+        new_row = solve(mat.transpose(), row)  # a M^{-1} as a row vector
+        coeffs.append(list(new_row))
+        constants.append(c + sum(x * t for x, t in zip(new_row, shift)))
+    return HyperplaneArrangement(ha.m, coeffs, constants)
+
+
 def planted_arrangement(
     rng: random.Random, ha: HyperplaneArrangement, d=None
 ) -> HyperplaneArrangement:
@@ -169,6 +182,14 @@ def planted_arrangement(
 def vertex_of(ha: HyperplaneArrangement, subset) -> tuple:
     a = Matrix([ha.row(i) for i in subset])
     return solve(a, [ha.constant(i) for i in subset])
+
+
+def orientation(ha: HyperplaneArrangement, subset) -> int:
+    """sign det[(1, P_i)] over the (m+1)-subset's hyperplanes i in order,
+    P_i the vertex of the others: the side of the paper's orientation
+    identity that the vertices give."""
+    verts = [vertex_of(ha, [j for j in subset if j != i]) for i in subset]
+    return sign(det(Matrix([[Fraction(1)] + list(v) for v in verts])))
 
 
 def random_simplex_arrangement(rng: random.Random, m: int) -> HyperplaneArrangement:

@@ -17,7 +17,6 @@ from normsys import (
     Matrix,
     SignedBijection,
     adjacent_cone_constants,
-    affine_image,
     all_orbits,
     all_symbols,
     arrangements_isomorphic,
@@ -36,13 +35,14 @@ from normsys import (
     project_arrangement,
     region_counts,
     sign,
-    simplex_orientation_check,
     standard_arrangement,
 )
 from normsys.linalg import rank
 from conftest import (
     add,
+    affine_image,
     identity,
+    orientation,
     projectors,
     random_arrangement,
     random_invertible,
@@ -51,7 +51,6 @@ from conftest import (
     random_sphere_arrangement,
     transformed_system,
     triple_determinant_sign,
-    vertex_of,
 )
 
 
@@ -184,8 +183,7 @@ def test_criterion_06_orientation_signs(report):
     for _ in range(1000):
         m = rng.randint(1, 3)
         ha = random_simplex_arrangement(rng, m)
-        vsign, nsign = simplex_orientation_check(ha)
-        assert vsign == nsign
+        assert orientation(ha, ha.labels) == ha.lift.chirotope.signs[ha.labels]
     for _ in range(20):
         m = rng.randint(2, 3)
         n = rng.randint(m + 2, 5)
@@ -195,14 +193,8 @@ def test_criterion_06_orientation_signs(report):
         img = affine_image(ha, mat, shift)
         d = sign(det(mat))
         for sub in combinations(ha.labels, m + 1):
-            def orientation(arr):
-                verts = [
-                    vertex_of(arr, [j for j in sub if j != i]) for i in sub
-                ]
-                return sign(det(Matrix([[Fraction(1)] + list(v) for v in verts])))
-
             # agreement is uniform across subsets: the map's determinant sign
-            assert orientation(img) == d * orientation(ha)
+            assert orientation(img, sub) == d * orientation(ha, sub)
     elapsed = time.monotonic() - start
     assert elapsed < 60
     report(

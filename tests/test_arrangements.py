@@ -12,7 +12,6 @@ from normsys import (
     Region,
     SignedBijection,
     adjacent_cone_constants,
-    affine_image,
     arrangements_isomorphic,
     concurrency_sign_map,
     cone_facets,
@@ -28,14 +27,15 @@ from normsys import (
     polyhedralities,
     predicted_counts,
     region_counts,
-    simplex_orientation_check,
     sign,
 )
 from normsys import arrangements, fm
 from normsys.chirotope import Chirotope, pullback_sign
-from normsys.arrangements import _sides
+from normsys.arrangements import _sides, isomorphic_by_definition
 from conftest import (
+    affine_image,
     inserted,
+    orientation,
     random_arrangement,
     planted_arrangement,
     random_invertible,
@@ -340,8 +340,7 @@ def test_standard_simplex_orientation():
         frac_rows([[-1, 0], [0, -1], [1, 1]]),
         [Fraction(0), Fraction(0), Fraction(1)],
     )
-    vsign, nsign = simplex_orientation_check(ha)
-    assert vsign == nsign
+    assert orientation(ha, ha.labels) == ha.lift.chirotope.signs[ha.labels]
 
 
 def test_random_simplex_orientation_agreement():
@@ -349,8 +348,7 @@ def test_random_simplex_orientation_agreement():
     for _ in range(25):
         m = rng.randint(1, 3)
         ha = random_simplex_arrangement(rng, m)
-        vsign, nsign = simplex_orientation_check(ha)
-        assert vsign == nsign
+        assert orientation(ha, ha.labels) == ha.lift.chirotope.signs[ha.labels]
 
 
 def test_sign_map_three_lines():
@@ -488,6 +486,24 @@ def test_definition_oracle_rejects_what_the_decider_rejects():
             with pytest.raises(ValueError, match=message):
                 definition_oracle_isomorphic(*pair)
         assert definition_oracle_isomorphic(good, good)
+
+
+def test_valid_pair_builds_no_concurrency_sign_map(monkeypatch):
+    # chi_hom is copied only to name the concurrent subset of invalid input
+    rng = random.Random(48)
+    ha = random_arrangement(rng, 2, 5)
+    copy = planted_arrangement(rng, ha)
+    calls = []
+    monkeypatch.setattr(arrangements, "concurrency_sign_map", calls.append)
+    assert arrangements_isomorphic(ha, copy).isomorphic
+    assert definition_oracle_isomorphic(ha, copy)
+    assert calls == []
+
+
+def test_isomorphic_by_definition_at_one_dimension():
+    # points on a line: no line to order vertices along
+    ha = HyperplaneArrangement(1, [[1], [2], [-1]], [0, 1, 5])
+    assert isomorphic_by_definition(ha, ha, SignedBijection.identity(ha.labels))
 
 
 def test_cone_move_flips_exactly_one_sign():
@@ -629,6 +645,30 @@ def test_cone_facets_at_ten_hyperplanes():
             adjacent_cone_constants(ha, sub)
 
 
+def test_cone_move_refuses_what_cone_facets_refuses():
+    # rows 1 and 4 are parallel: no cone to move in, and no constants back
+    rng = random.Random(50)
+    cases = [
+        HyperplaneArrangement(
+            2, [[4, -2], [1, 3], [-3, -4], [8, -4]], [2, -1, 3, -2], check=False
+        )
+    ]
+    while len(cases) < 20:
+        m = rng.randint(2, 3)
+        ha = random_arrangement(rng, m, rng.randint(m + 2, 6))
+        rows = [list(r) for r in ha.coeffs]
+        (i, j), k = rng.sample(range(ha.n), 2), rng.choice((2, -3))
+        rows[j] = [k * x for x in rows[i]]
+        cases.append(HyperplaneArrangement(m, rows, ha.constants, check=False))
+    for ha in cases:
+        with pytest.raises(ValueError) as want:
+            cone_facets(ha)
+        for sub in combinations(ha.labels, ha.m + 1):
+            with pytest.raises(ValueError) as got:
+                adjacent_cone_constants(ha, sub)
+            assert str(got.value) == str(want.value)
+
+
 def test_infinity_arrangement_examples():
     # a triangle plus a distant line admits an infinity ordering
     ha = HyperplaneArrangement(
@@ -663,3 +703,6 @@ def test_shape_mismatch_rejected():
     b = random_arrangement(rng, 2, 5)
     with pytest.raises(ValueError):
         arrangements_isomorphic(a, b)
+    phi = SignedBijection.identity(a.labels)
+    with pytest.raises(ValueError, match="arrangements must share n and m"):
+        isomorphic_by_definition(a, b, phi)

@@ -12,7 +12,6 @@ from normsys import (
     AntipodalArrangement,
     HyperplaneArrangement,
     NormalSystem,
-    affine_image,
     concurrency_sign_map,
     hyperplanes_from,
     normal_system_of,
@@ -21,6 +20,7 @@ from normsys import chirotope
 from normsys.chirotope import Chirotope
 from normsys.linalg import Matrix, kernel_basis
 from conftest import (
+    affine_image,
     random_arrangement,
     random_invertible,
     random_normal_system,

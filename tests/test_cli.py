@@ -18,7 +18,12 @@ from normsys import (
 )
 from normsys.chirotope import Chirotope
 from normsys.cli import main
-from conftest import random_arrangement, random_normal_system, transformed_system
+from conftest import (
+    planted_arrangement,
+    random_arrangement,
+    random_normal_system,
+    transformed_system,
+)
 
 REPO = Path(__file__).parents[1]
 
@@ -247,6 +252,29 @@ def test_verify_paper(capsys):
 def test_ha_iso_self(files, capsys):
     assert main(["ha-iso", files["ha"], files["ha"]]) == 0
     assert capsys.readouterr().out.startswith("isomorphic")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ha_iso_oracle_verdicts(tmp_path, capsys, fmt):
+    """``ha-iso --oracle`` at n = 5: a planted copy is isomorphic (exit 0),
+    another random arrangement is not (exit 3), no witness is printed, and
+    the JSON names the method."""
+    rng = random.Random(5)
+    ha = random_arrangement(rng, 2, 5)
+    inputs = {"ha": ha, "other": random_arrangement(rng, 2, 5)}
+    inputs["copy"] = planted_arrangement(rng, ha)
+    paths = {}
+    for key, arr in inputs.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(arr.to_json_dict()))
+    for key, iso in (("copy", True), ("other", False)):
+        argv = ["--format", fmt, "--oracle", "ha-iso", str(paths["ha"]), str(paths[key])]
+        assert main(argv) == (0 if iso else 3)
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert json.loads(out) == {"isomorphic": iso, "method": "definition-oracle"}
+        else:
+            assert out == ("isomorphic\n" if iso else "non-isomorphic\n")
 
 
 @pytest.mark.parametrize(

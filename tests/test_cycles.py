@@ -31,6 +31,15 @@ def test_cycle_canonical_rotation():
     assert hash(LineCycle([1, 2, 3])) == hash(LineCycle([3, 1, 2]))
 
 
+def test_cycle_invariants_refuse_a_dependent_subset():
+    # vectors 1, 2, 3 lie in one plane: chi(1, 2, 3) = 0
+    arr = AntipodalArrangement.from_vectors(
+        2, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]], check=False
+    )
+    with pytest.raises(ValueError, match=r"dependent subset \(1, 2, 3\): not in general"):
+        all_cycle_invariants(arr)
+
+
 def test_cycle_inverse_and_conjugate():
     c = LineCycle([1, 2, 3, 4])
     assert c.inverse() == LineCycle([4, 3, 2, 1])

@@ -84,6 +84,11 @@ def test_general_position_detects_dependence():
         check=False,
     )
     assert arr.general_position() == (False, (2, 4))
+    # fewer points than the dimension: general position is their rank
+    arr = AntipodalArrangement.from_vectors(
+        3, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]], check=False
+    )
+    assert arr.general_position() == (False, (1, 2, 3))
 
 
 def test_oriented_frame_orientation():
