@@ -137,7 +137,16 @@ class Region(Frozen):
 
 
 def _sides(ha: HyperplaneArrangement):
-    """The vertex sides as bit masks, in one pass over the lift's chi.
+    """The vertex sides (``_side_table``), kept, read-only, with the lift's
+    chi from the first call; a table that raises is not kept."""
+    if ha.n < ha.m and not ha.is_valid():  # the lift has no base to scan
+        raise ValueError(_INVALID)
+    return ha.lift.chirotope._table(_side_table)
+
+
+def _side_table(chi: Chirotope):
+    """The vertex sides as bit masks, in one pass over a lift's chi: n + 1
+    labels, rank m + 1, e the last label.
 
     Label h is bit 1 << (n - h), so masks order as the sign vectors do (a
     set bit for +1, label 1 most significant).  Bit h of plus[B], B a sorted
@@ -150,10 +159,10 @@ def _sides(ha: HyperplaneArrangement):
     from the last, so the negation alternates.  Raises ValueError on the
     first zero sign.
     """
-    signs, n, m = ha.lift.chirotope.signs, ha.n, ha.m
-    e = (n + 1,)
-    plus = dict.fromkeys(combinations(ha.labels, m), 0)
-    ray = dict.fromkeys(combinations(ha.labels, m - 1), 0)
+    signs, labels, m = chi.signs, chi.labels[:-1], chi.rank - 1
+    n, e = len(labels), chi.labels[-1:]
+    plus = dict.fromkeys(combinations(labels, m), 0)
+    ray = dict.fromkeys(combinations(labels, m - 1), 0)
     for sub, s in signs.items():
         if not s:
             bad = tuple(h for h in sub if h <= n)
@@ -172,34 +181,37 @@ def _sides(ha: HyperplaneArrangement):
     return plus, ray
 
 
-def _submasks(labels: Sequence[int], n: int) -> List[int]:
-    """The masks of every subset of these labels, that of all of them last."""
-    out = [0]
-    for h in labels:
-        out += [x | 1 << (n - h) for x in out]
-    return out
+def _line_masks(chi: Chirotope) -> Dict[Tuple[int, ...], List[int]]:
+    """For each line L of ``_side_table``, the masks of every subset of L,
+    that of all of L last; kept with chi beside the side table."""
+    n, free = len(chi.labels) - 1, {}
+    for line in combinations(chi.labels[:-1], chi.rank - 2):
+        free[line] = out = [0]
+        for h in line:
+            out += [x | 1 << (n - h) for x in out]
+    return free
 
 
 def enumerate_regions(ha: HyperplaneArrangement) -> List[Region]:
     """All regions, sorted, with exact boundedness.
 
     In general position with n >= m every region has a vertex v_B, so the
-    regions are the masks plus[B] of ``_sides`` with any bits of B set.  A
-    region is unbounded iff its recession cone has an extreme ray: ray[L]
-    or its negation, off an (m-1)-subset L, agrees with its signs off L.
-    Regions are sorted as masks; ``product`` lists sign vectors in mask
-    order, so the high and low halves of a mask index its vector's.  With
-    n < m every sign vector is an unbounded region.  Raises ValueError on
-    input not in general position.
+    regions are the masks plus[B] of ``_sides``, kept with the lift's chi,
+    with any bits of B set.  A region is unbounded iff its recession cone
+    has an extreme ray: ray[L] or its negation, off an (m-1)-subset L,
+    agrees with its signs off L.  Regions are sorted as masks; ``product``
+    lists sign vectors in mask order, so the high and low halves of a mask
+    index its vector's.  Each Region is built as ``Region._of`` builds it,
+    through slot setters bound once per call.  With n < m every sign
+    vector is an unbounded region.  Raises ValueError on input not in
+    general position.
     """
     n, k = ha.n, ha.n // 2
-    if n < ha.m:
-        if not ha.is_valid():
-            raise ValueError(_INVALID)
-        return [Region._of(s, False) for s in product((-1, 1), repeat=n)]
     (plus, ray), full = _sides(ha), (1 << n) - 1
+    if n < ha.m:
+        return [Region._of(s, False) for s in product((-1, 1), repeat=n)]
     high, low = list(product((-1, 1), repeat=n - k)), list(product((-1, 1), repeat=k))
-    free = {line: _submasks(line, n) for line in ray}
+    free = ha.lift.chirotope._table(_line_masks)
     regions, unbounded = set(), set()
     for base, p in plus.items():  # B's subsets: B[:-1]'s, with or without B[-1]
         f = free[base[:-1]]
@@ -207,10 +219,13 @@ def enumerate_regions(ha: HyperplaneArrangement) -> List[Region]:
     for line, r in ray.items():
         f = free[line]
         unbounded.update(map(r.__or__, f), map((full ^ r ^ f[-1]).__or__, f))
-    return [
-        Region._of(high[x >> k] + low[x & (1 << k) - 1], x not in unbounded)
-        for x in sorted(regions)
-    ]
+    put_signs, put_bounded, out = Region.signs.__set__, Region.bounded.__set__, []
+    for x in sorted(regions):
+        r = object.__new__(Region)
+        put_signs(r, high[x >> k] + low[x & (1 << k) - 1])
+        put_bounded(r, x not in unbounded)
+        out.append(r)
+    return out
 
 
 def region_counts(ha: HyperplaneArrangement) -> Tuple[int, int, int]:

@@ -15,9 +15,10 @@ denominators; quadratic-extension vectors are used as they are.  The same
 minors, as values, give the wall circuits of ``arrangements.cone_facets``.
 
 What is read off χ's signs alone (the dual, the first zero base, the
-contraction orders, the search's neighbour tables and fingerprints) is
-built on first use and kept, read-only, by ``Chirotope._table``; nothing
-that depends on a pair, a pin or a result is kept.
+contraction orders, the search's neighbour tables and fingerprints, a
+lift's vertex-side table and line submasks) is built on first use and
+kept, read-only, by ``Chirotope._table``; nothing that depends on a pair,
+a pin, a coefficient value or a result is kept.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from normsys import (
 )
 from normsys import arrangements, fm
 from normsys.chirotope import Chirotope, pullback_sign
-from normsys.arrangements import _sides, isomorphic_by_definition
+from normsys.arrangements import _line_masks, _side_table, _sides, isomorphic_by_definition
 from conftest import (
     affine_image,
     inserted,
@@ -279,6 +279,83 @@ def test_vertex_sides_match_solved_vertices(d):
         for (base, h), s in solved_sides(ha).items():
             want[base] |= (s > 0) << (ha.n - h)
         assert plus == want
+
+
+def read_every_side(ha):
+    """What each reader of the kept side table returns on ha."""
+    facets = cone_facets(ha)
+    return [
+        region_counts(ha),
+        enumerate_regions(ha),
+        polyhedralities(ha),
+        [is_simplex_polyhedrality(ha, s) for s in combinations(ha.labels, ha.m + 1)],
+        is_infinity_arrangement(ha),
+        facets,
+        [adjacent_cone_constants(ha, f) for f in facets],
+    ]
+
+
+def test_side_table_is_built_once_per_arrangement(monkeypatch):
+    builds = {"sides": [], "masks": []}
+    monkeypatch.setattr(
+        arrangements, "_side_table", lambda chi: builds["sides"].append(chi) or _side_table(chi)
+    )
+    monkeypatch.setattr(
+        arrangements, "_line_masks", lambda chi: builds["masks"].append(chi) or _line_masks(chi)
+    )
+    ha = random_arrangement(random.Random(45), 2, 5)
+    first = read_every_side(ha)
+    assert first[5] and read_every_side(ha) == first
+    chi = ha.lift.chirotope
+    assert [id(c) for c in builds["sides"]] == [id(c) for c in builds["masks"]] == [id(chi)]
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+def test_kept_side_table_gives_the_results_of_fresh_arrangements(d):
+    rng = random.Random(60 + (d or 0))
+    for m in range(1, 5):
+        for n in (m - 1, m, m + 1, m + 3):
+            ha = random_arrangement(rng, m, n, d)
+            cold = read_every_side(ha)
+            fresh = HyperplaneArrangement(m, ha.coeffs, ha.constants)
+            assert read_every_side(ha) == read_every_side(fresh) == cold, (m, n)
+
+
+def test_refused_input_stays_refused():
+    # the builder raises and keeps nothing, so every call raises again
+    parallel = HyperplaneArrangement(2, [[1, 0], [1, 0], [0, 1], [1, 1]], [0, 1, 0, 5], check=False)
+    concurrent = HyperplaneArrangement(2, [[1, 0], [0, 1], [1, 1], [1, 2]], [0, 0, 0, 5], check=False)
+    planes = HyperplaneArrangement(3, [[1, 0, 0], [1, 0, 0]], [0, 1], check=False)
+    subsets = list(combinations((1, 2, 3, 4), 3))
+    readers = [region_counts, enumerate_regions, polyhedralities, is_infinity_arrangement, cone_facets]
+    readers += [lambda ha, s=s: is_simplex_polyhedrality(ha, s) for s in subsets]
+    readers += [lambda ha, s=s: adjacent_cone_constants(ha, s) for s in subsets]
+    for ha in (parallel, concurrent, planes):
+        for read in readers:
+            messages = []
+            for _ in range(2):
+                with pytest.raises(ValueError) as err:
+                    read(ha)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+        tables = ha.lift.chirotope._tables
+        assert _side_table not in tables and _line_masks not in tables
+
+
+def test_enumerated_regions_are_public_regions():
+    rng = random.Random(62)
+    for m, n in ((1, 4), (2, 6), (3, 7), (3, 2)):
+        regions = enumerate_regions(random_arrangement(rng, m, n))
+        public = [Region(list(r.signs), r.bounded) for r in regions]
+        assert regions == public and [type(r) for r in regions] == [Region] * len(public)
+        assert [hash(r) for r in regions] == [hash(r) for r in public]
+        assert [repr(r) for r in regions] == [repr(r) for r in public]
+        assert sorted(reversed(public)) == public == sorted(regions)
+        for r in regions:
+            assert type(r.signs) is tuple and type(r.bounded) is bool
+            for name in ("signs", "bounded", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(r, name, None)
 
 
 def reference_polyhedrality(ha, sides, subset) -> bool:

@@ -18,7 +18,11 @@ from normsys import (
     SignedBijection,
     SpherePoint,
     Symbol,
+    cone_facets,
     find_isomorphisms,
+    is_infinity_arrangement,
+    polyhedralities,
+    region_counts,
 )
 from normsys.arrangements import arrangements_isomorphic
 from normsys.chirotope import Chirotope
@@ -124,6 +128,7 @@ def test_arrangements_from_equal_rows_are_equal():
 
 # (3,6) rows in general position: the dual has rank 3, the search has a probe
 ROWS6 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 4], [1, 3, 9]]
+HA5 = ([[1, 0], [0, 1], [1, 1], [1, 2], [1, 3]], [0, 1, 3, 7, 13])
 
 # each entry: (build from fixed data, the chirotope it owns, a decision on it)
 TABLE_CASES = {
@@ -138,9 +143,16 @@ TABLE_CASES = {
         lambda ns: find_isomorphisms(ns, ns),
     ),
     "HyperplaneArrangement": (
-        lambda: HyperplaneArrangement(2, [[1, 0], [0, 1], [1, 1], [1, 2], [1, 3]], [0, 1, 3, 7, 13]),
+        lambda: HyperplaneArrangement(2, *HA5),
         lambda ha: ha.lift.chirotope,
         lambda ha: arrangements_isomorphic(ha, ha),
+    ),
+    "HyperplaneArrangement.sides": (  # the vertex-side table and its readers
+        lambda: HyperplaneArrangement(2, *HA5),
+        lambda ha: ha.lift.chirotope,
+        lambda ha: [
+            f(ha) for f in (region_counts, polyhedralities, is_infinity_arrangement, cone_facets)
+        ],
     ),
 }
 
@@ -148,9 +160,10 @@ TABLE_CASES = {
 @pytest.mark.parametrize("name", sorted(TABLE_CASES))
 def test_kept_tables_are_invisible(name):
     """Filling the tables a chirotope keeps (dual, zero, contraction orders,
-    a decision's search tables) changes neither ``==``, nor
-    unhashability, nor ``repr``, of the chirotope or of the object that
-    owns it: a warm object equals a cold one built from equal data."""
+    a decision's search tables, an arrangement's side table) changes
+    neither ``==``, nor unhashability, nor ``repr``, of the chirotope or of
+    the object that owns it: a warm object equals a cold one built from
+    equal data."""
     build, owned, decide = TABLE_CASES[name]
     warm, cold = build(), build()
     before = repr(warm), repr(owned(warm))

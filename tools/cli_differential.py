@@ -93,6 +93,7 @@ EDGE = {
     "ha_2_4a": _ha(2, PLANE4, [0, 0, 1, 3]),
     "ha_2_4b": _ha(2, [[1, 0], [0, 1], [1, 1], [1, -2]], [1, -1, 0, 5]),
     "ha_2_5": _ha(2, [*PLANE4, [2, 1]], [0, 0, 1, 3, 7]),
+    "ha_2_5b": _ha(2, [*PLANE4, [2, 1]], [0, 0, 1, 3, -7]),
     "ha_concurrent": _ha(2, [[1, 0], [0, 1], [1, 1]], [0, 0, 0]),
 }
 
