@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .chirotope import Chirotope, scaled_minors
-from .field import FieldValue, format_value, parse_value
+from .field import FieldValue, QuadExt, format_value, parse_rows
 from .frozen import Frozen
 from .linalg import Matrix
 from .normal_systems import NormalSystem, _witnesses
@@ -91,9 +91,8 @@ class HyperplaneArrangement(Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HyperplaneArrangement":
-        coeffs = [[parse_value(s) for s in row] for row in data["coeffs"]]
-        constants = [parse_value(s) for s in data["constants"]]
-        return cls(int(data["m"]), coeffs, constants)
+        """Raises ValueError on any shape ``field.parse_rows`` refuses."""
+        return cls(*parse_rows(data, "m", "coeffs", "constants"))
 
     def __repr__(self):
         return f"HyperplaneArrangement(m={self.m}, n={self.n})"
@@ -101,13 +100,20 @@ class HyperplaneArrangement(Frozen):
 
 def concurrency_sign_map(ha: HyperplaneArrangement) -> Chirotope:
     """chi_hom, the lift's signs on the (m+1)-subsets S without e: those of
-    det(rows (a_i | c_i), i in S).  Raises ValueError on a concurrent S."""
-    e, signs = ha.n + 1, ha.lift.chirotope.signs
-    hom = Chirotope._of(ha.m + 1, ha.labels, {s: signs[s] for s in signs if s[-1] != e})
+    det(rows (a_i | c_i), i in S), kept with the lift's chi from the first
+    call (``_deletion``).  Raises ValueError on a concurrent S, on every
+    call."""
+    hom = ha.lift.chirotope._table(_deletion)
     bad = hom.zero()
     if bad is not None:
         raise ValueError(f"hyperplanes {bad} are concurrent")
     return hom
+
+
+def _deletion(chi: Chirotope) -> Chirotope:
+    """The deletion of a lift's last label, e: its signs without e."""
+    labels, e, signs = chi.labels[:-1], chi.labels[-1], chi.signs
+    return Chirotope._of(chi.rank, labels, {s: signs[s] for s in signs if s[-1] != e})
 
 
 def normal_system_of(ha: HyperplaneArrangement) -> NormalSystem:
@@ -399,10 +405,13 @@ def _circuits(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], list]:
     label s of S (from 0), the cofactors of the last column of the rows
     (a_i | c_i): a circuit of the normals.  For normals scaled by k_i > 0
     (``scaled_minors``), k_s times the scaled cofactor is g_S[s] times the
-    product of the k_i over S.
+    product of the k_i over S.  Over Q(sqrt d) the pairs are divided back
+    to the minors of the rows as given (``_field_minors``).
     """
     hom, m = concurrency_sign_map(ha).signs, ha.m
-    scale, minors = scaled_minors(m, dict(zip(ha.labels, ha.coeffs)))
+    scale, minors, d = scaled_minors(m, dict(zip(ha.labels, ha.coeffs)))
+    if d is not None:
+        scale, minors = dict.fromkeys(scale, 1), _field_minors(ha, scale, minors, d)
     walls = {}
     for sub, s in hom.items():
         v = [0] * ha.n
@@ -411,6 +420,22 @@ def _circuits(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], list]:
             v[i - 1] = (-s if j % 2 else s) * scale[i] * minors[sub[:j] + sub[j + 1 :]]
         walls[sub] = v
     return walls
+
+
+def _field_minors(ha: HyperplaneArrangement, scale, minors, d) -> dict:
+    """Each pair (a, b) of ``scaled_minors`` over Q(sqrt d) as the minor of
+    the normals as given, (a + b sqrt d) / K, K the product of the scales
+    over the base; a QuadExt where a row of the base holds one, else a
+    Fraction, as expanding those rows themselves builds it."""
+    quad = [any(isinstance(x, QuadExt) for x in r) for r in ha.coeffs]
+    out = {}
+    for base, (a, b) in minors.items():
+        k = reduce(operator.mul, map(scale.__getitem__, base), 1)
+        if any(quad[i - 1] for i in base):
+            out[base] = QuadExt._of(Fraction(a, k), Fraction(b, k), d)
+        else:
+            out[base] = Fraction(a, k)
+    return out
 
 
 def _separate(columns: Sequence[list], target: list) -> Optional[list]:

@@ -9,16 +9,17 @@ rank n − r, is read off χ's signs alone.
 χ is computed once per sorted r-subset; a reordered subset is looked up by
 the parity of its sort.  Every maximal minor comes from one division-free
 expansion along the columns: the minors of the first k columns over every
-k-subset of labels, each built from those of the first k - 1.  Rational
-vectors are first scaled to integers by the positive LCM of their
-denominators; quadratic-extension vectors are used as they are.  The same
-minors, as values, give the wall circuits of ``arrangements.cone_facets``.
+k-subset of labels, each built from those of the first k - 1.  Each
+vector is first scaled by the positive LCM of its denominators: rational
+vectors to integers, quadratic-extension vectors to integer pairs (a, b)
+for a + b√d, whose sign ``field.quad_sign`` reads.  The same minors, as
+values, give the wall circuits of ``arrangements.cone_facets``.
 
 What is read off χ's signs alone (the dual, the first zero base, the
 contraction orders, the search's neighbour tables and fingerprints, a
-lift's vertex-side table and line submasks) is built on first use and
-kept, read-only, by ``Chirotope._table``; nothing that depends on a pair,
-a pin, a coefficient value or a result is kept.
+lift's vertex-side table, line submasks and deletion χ_hom) is built on
+first use and kept, read-only, by ``Chirotope._table``; nothing that
+depends on a pair, a pin, a coefficient value or a result is kept.
 """
 
 from __future__ import annotations
@@ -27,11 +28,14 @@ from functools import reduce
 from itertools import combinations, starmap
 from math import comb, lcm
 from operator import gt, mul
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .field import FieldValue, QuadExt
+from .field import FieldTagMismatch, FieldValue, QuadExt, quad_sign
 from .frozen import Frozen
 
+
+# a minor of scaled_minors: an integer over Q, a pair (a, b) for a + b√d
+Minor = Union[int, Tuple[int, int]]
 
 # The expansion builds sum_{k <= rank} C(n, k) minors, 2^n - 2 at n = rank + 1.
 MAX_MINORS = 2**20
@@ -39,17 +43,19 @@ MAX_MINORS = 2**20
 
 def scaled_minors(
     rank: int, vectors: Dict[int, Sequence[FieldValue]]
-) -> Tuple[Dict[int, int], Dict[Tuple[int, ...], FieldValue]]:
-    """A positive scale k_i per label and the determinant of the vectors
-    k_i v_i, i in base, for every sorted rank-subset base.
+) -> Tuple[Dict[int, int], Dict[Tuple[int, ...], Minor], Optional[int]]:
+    """A positive scale k_i per label, the determinant of the vectors
+    k_i v_i, i in base, for every sorted rank-subset base, and the radicand
+    d of the vectors' field (None over Q).
 
-    Rational vectors are scaled to integers, k_i the LCM of the
-    denominators of v_i; quadratic-extension input keeps k_i = 1.  The
-    minor of the first k columns over a sorted k-subset S is the sum over
-    t of (-1)^(k-1-t) x[S_t][k-1] times the minor of the first k - 1
-    columns over S without S_t: no division, no pivot and no row swap, so
-    integer rows stay integers and quadratic-extension rows need no
-    inverse.  Raises ValueError if that takes more than MAX_MINORS minors.
+    k_i is the LCM of the denominators of v_i (of both parts of each
+    a + b√d), so the scaled rows are integers over Q and integer pairs
+    (a, b), for a + b√d, over Q(√d); so is every minor.  The minor of the
+    first k columns over a sorted k-subset S is the sum over t of
+    (-1)^(k-1-t) x[S_t][k-1] times the minor of the first k - 1 columns
+    over S without S_t: no division, no pivot and no row swap.  Raises
+    ValueError if that takes more than MAX_MINORS minors, and
+    FieldTagMismatch on values from two quadratic fields.
     """
     count = sum(comb(len(vectors), k) for k in range(1, rank + 1))
     if count > MAX_MINORS:
@@ -57,15 +63,20 @@ def scaled_minors(
             f"{len(vectors)} vectors of rank {rank} need {count} minors "
             f"(limit {MAX_MINORS})"
         )
-    if any(isinstance(x, QuadExt) for v in vectors.values() for x in v):
-        scale, rows = dict.fromkeys(vectors, 1), vectors
-    else:
-        scale = {i: lcm(*(x.denominator for x in v)) for i, v in vectors.items()}
-        rows = {
-            i: [x.numerator * (scale[i] // x.denominator) for x in v]
-            for i, v in vectors.items()
-        }
-    labels, minors = sorted(rows), {(): 1}
+    radicands = {x.d for v in vectors.values() for x in v if isinstance(x, QuadExt)}
+    if len(radicands) > 1:
+        d1, d2 = sorted(radicands)[:2]
+        raise FieldTagMismatch(f"cannot mix sqrt({d1}) and sqrt({d2}) values")
+    labels = sorted(vectors)
+    if radicands:
+        [d] = radicands
+        return (*_pair_minors(rank, labels, vectors, d), d)
+    scale = {i: lcm(*(x.denominator for x in v)) for i, v in vectors.items()}
+    rows = {
+        i: [x.numerator * (scale[i] // x.denominator) for x in v]
+        for i, v in vectors.items()
+    }
+    minors = {(): 1}
     for k in range(rank):
         level = {}
         for sub in combinations(labels, k + 1):
@@ -73,6 +84,36 @@ def scaled_minors(
             for t, i in enumerate(sub):
                 acc = rows[i][k] * minors[sub[:t] + sub[t + 1 :]] - acc
             level[sub] = acc
+        minors = level
+    return scale, minors, None
+
+
+def _pair_minors(rank, labels, vectors, d):
+    """``scaled_minors`` over Q(√d): the expansion on integer pairs, where
+    (a, b)(a', b') = (aa' + bb'd, ab' + ba')."""
+    parts = {
+        i: [(x.a, x.b) if isinstance(x, QuadExt) else (x, 0) for x in v]
+        for i, v in vectors.items()
+    }
+    scale = {i: lcm(*(y.denominator for p in v for y in p)) for i, v in parts.items()}
+    rows = {
+        i: [
+            (a.numerator * (scale[i] // a.denominator),
+             b.numerator * (scale[i] // b.denominator))
+            for a, b in v
+        ]
+        for i, v in parts.items()
+    }
+    minors = {(): (1, 0)}
+    for k in range(rank):
+        level = {}
+        for sub in combinations(labels, k + 1):
+            a = b = 0  # as in scaled_minors, part by part
+            for t, i in enumerate(sub):
+                xa, xb = rows[i][k]
+                ma, mb = minors[sub[:t] + sub[t + 1 :]]
+                a, b = xa * ma + xb * mb * d - a, xa * mb + xb * ma - b
+            level[sub] = a, b
         minors = level
     return scale, minors
 
@@ -93,8 +134,11 @@ class Chirotope(Frozen):
     __slots__ = ("rank", "labels", "signs", "_tables")
 
     def __init__(self, rank: int, vectors: Dict[int, Sequence[FieldValue]]):
-        _, minors = scaled_minors(rank, vectors)
-        signs = {base: (d > 0) - (d < 0) for base, d in minors.items()}
+        _, minors, d = scaled_minors(rank, vectors)
+        if d is None:
+            signs = {base: (x > 0) - (x < 0) for base, x in minors.items()}
+        else:
+            signs = {base: quad_sign(a, b, d) for base, (a, b) in minors.items()}
         self._set(rank, tuple(sorted(vectors)), signs)
 
     def _set(self, rank, labels, signs):

@@ -6,7 +6,10 @@ Exit codes: 0 success / isomorphic, 1 usage or parse error (an unwritable
 ``--output`` path included), 2 invalid object, 3 non-isomorphic verdict.
 
 Each ``cmd_*`` handler does no I/O: it returns (payload, text lines, exit
-code), and ``main`` writes the payload as JSON or the lines as text.
+code), and ``main`` writes the payload as JSON or the lines as text.  A
+handler imports the modules it calls, and the loader only the module of
+the class it builds, so a process compiles no module its command does not
+use.
 """
 
 from __future__ import annotations
@@ -16,26 +19,21 @@ import json
 import sys
 from contextlib import nullcontext
 
-from . import arrangements, fixtures
-from .arrangements import HyperplaneArrangement
-from .cycles import all_cycle_invariants
-from .field import QuadExt, parse_value
-from .normal_systems import NormalSystem, find_isomorphisms, oracle_isomorphisms
-from .sphere import AntipodalArrangement
-from .symbols import compatible_symbols
+from .field import parse_rows
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_NONISO = 3
 
-# each kind's name in messages; ``validate`` reports it hyphenated
+# each kind by its file's key: its dimension key and its name in messages,
+# which ``validate`` reports hyphenated
 KINDS = {
-    NormalSystem: "normal system",
-    AntipodalArrangement: "sphere arrangement",
-    HyperplaneArrangement: "hyperplane arrangement",
+    "vectors": ("m", "normal system"),
+    "points": ("k", "sphere arrangement"),
+    "coeffs": ("m", "hyperplane arrangement"),
 }
-SPHERE = (NormalSystem, AntipodalArrangement)
+SPHERE = ("vectors", "points")
 
 
 class ParseFailure(Exception):
@@ -59,52 +57,53 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _scalars(path: str, values) -> list:
-    if not isinstance(values, list) or not all(isinstance(s, str) for s in values):
-        raise ParseFailure(f"{path}: expected lists of scalar strings")
-    try:
-        return [parse_value(s) for s in values]
-    except ValueError as exc:
-        raise ParseFailure(f"{path}: {exc}") from exc
+def _build(key: str, dim: int, rows: list, constants: list):
+    """The object of a file's key, from the class's own module alone."""
+    if key == "vectors":
+        from .normal_systems import NormalSystem
+
+        return NormalSystem(dim, rows)
+    if key == "points":
+        from .sphere import AntipodalArrangement
+
+        return AntipodalArrangement.from_vectors(dim, rows)
+    from .arrangements import HyperplaneArrangement
+
+    return HyperplaneArrangement(dim, rows, constants)
 
 
 def _load_object(path: str):
-    """Parse a file into the object its keys announce; construction
-    validates it.  A malformed JSON shape or scalar, or values from two
-    quadratic fields, is a parse error; a well-formed invalid object is not.
+    """Parse a file into (its key, the object the key announces);
+    construction validates the object.  A shape that ``field.parse_rows``
+    refuses is a parse error; a well-formed invalid object is not.
     """
     data = _load_json(path)
-    key = next((k for k in ("vectors", "points", "coeffs") if k in data), None)
+    key = next((k for k in KINDS if k in data), None)
     if key is None:
         raise ParseFailure(f"{path}: no 'vectors', 'points' or 'coeffs' key")
-    dim = data.get("k" if key == "points" else "m")
-    if type(dim) is not int or not isinstance(data[key], list):
-        raise ParseFailure(f"{path}: expected an integer dimension and a list of rows")
-    rows = [_scalars(path, r) for r in data[key]]
-    constants = _scalars(path, data.get("constants")) if key == "coeffs" else []
-    if len({x.d for r in rows + [constants] for x in r if isinstance(x, QuadExt)}) > 1:
-        raise ParseFailure(f"{path}: values from more than one quadratic field")
+    constants = "constants" if key == "coeffs" else None
     try:
-        if key == "vectors":
-            return NormalSystem(dim, rows)
-        if key == "points":
-            return AntipodalArrangement.from_vectors(dim, rows)
-        return HyperplaneArrangement(dim, rows, constants)
+        parsed = parse_rows(data, KINDS[key][0], key, constants)
+    except ValueError as exc:
+        raise ParseFailure(f"{path}: {exc}") from exc
+    try:
+        return key, _build(key, *parsed)
     except ValueError as exc:  # an ArrangementError included
         raise InvalidObject(f"{path}: {exc}") from exc
 
 
 def _load_required(kinds: tuple, *paths: str) -> list:
-    """Parse every file, then require each object to be one of kinds.  Where
-    sphere arrangements are accepted, a normal system is read as one."""
-    objs = [_load_object(path) for path in paths]
-    for path, obj in zip(paths, objs):
-        if not isinstance(obj, kinds):
-            noun = " or ".join(KINDS[kind] for kind in kinds)
+    """Parse every file, then require each object to be of one of the kinds'
+    keys.  Where sphere arrangements are accepted, a normal system is read
+    as one."""
+    loaded = [_load_object(path) for path in paths]
+    for path, (key, _) in zip(paths, loaded):
+        if key not in kinds:
+            noun = " or ".join(KINDS[kind][1] for kind in kinds)
             raise InvalidObject(f"{path}: expected a {noun}")
-    if AntipodalArrangement in kinds:
-        return [o.to_arrangement() if isinstance(o, NormalSystem) else o for o in objs]
-    return objs
+    if "points" in kinds:
+        return [o.to_arrangement() if key == "vectors" else o for key, o in loaded]
+    return [o for _, o in loaded]
 
 
 def _witness_dict(w) -> dict:
@@ -130,11 +129,14 @@ def _verdict(iso: bool, payload: dict, lines: list):
 
 def cmd_validate(args):
     # construction validates: an invalid object raises InvalidObject
-    kind = KINDS[type(_load_object(args.path))].replace(" ", "-")
+    key, _ = _load_object(args.path)
+    kind = KINDS[key][1].replace(" ", "-")
     return {"kind": kind, "valid": True}, [f"{kind}: valid"], EXIT_OK
 
 
 def cmd_cycles(args):
+    from .cycles import all_cycle_invariants
+
     [arr] = _load_required(SPHERE, args.path)
     payload = all_cycle_invariants(arr).to_json_dict()
     lines = [f"{key}: ({' '.join(map(str, cyc))})" for key, cyc in payload.items()]
@@ -142,7 +144,9 @@ def cmd_cycles(args):
 
 
 def cmd_ns_iso(args):
-    ns1, ns2 = _load_required((NormalSystem,), args.path1, args.path2)
+    from .normal_systems import find_isomorphisms, oracle_isomorphisms
+
+    ns1, ns2 = _load_required(("vectors",), args.path1, args.path2)
     search = oracle_isomorphisms if args.oracle else find_isomorphisms
     witnesses = search(ns1, ns2)
     return _verdict(
@@ -153,7 +157,9 @@ def cmd_ns_iso(args):
 
 
 def cmd_ha_iso(args):
-    ha1, ha2 = _load_required((HyperplaneArrangement,), args.path1, args.path2)
+    from . import arrangements
+
+    ha1, ha2 = _load_required(("coeffs",), args.path1, args.path2)
     if args.oracle:
         iso = arrangements.definition_oracle_isomorphic(ha1, ha2)
         return _verdict(iso, {"method": "definition-oracle"}, [])
@@ -169,7 +175,9 @@ def cmd_ha_iso(args):
 
 
 def cmd_regions(args):
-    [ha] = _load_required((HyperplaneArrangement,), args.path)
+    from . import arrangements
+
+    [ha] = _load_required(("coeffs",), args.path)
     counts = arrangements.region_counts(ha)
     formula_ok = counts == arrangements.predicted_counts(ha.n, ha.m)
     payload = dict(
@@ -180,7 +188,9 @@ def cmd_regions(args):
 
 
 def cmd_signs(args):
-    [ha] = _load_required((HyperplaneArrangement,), args.path)
+    from . import arrangements
+
+    [ha] = _load_required(("coeffs",), args.path)
     hom = arrangements.concurrency_sign_map(ha)
     payload = {",".join(map(str, k)): v for k, v in hom.signs.items()}
     lines = [f"{key}: {'+' if v > 0 else '-'}" for key, v in payload.items()]
@@ -188,10 +198,14 @@ def cmd_signs(args):
 
 
 def cmd_symbols(args):
+    from .symbols import compatible_symbols
+
     if args.path:
         [arr] = _load_required(SPHERE, args.path)
     else:
-        arr = fixtures.load_fixture("S4-standard").payload
+        from .fixtures import load_fixture
+
+        arr = load_fixture("S4-standard").payload
     if arr.n != 4 or arr.dim_k != 2:
         path = args.path or "<standard>"
         raise InvalidObject(f"{path}: need a four-pair 2-sphere arrangement")
@@ -200,7 +214,9 @@ def cmd_symbols(args):
 
 
 def cmd_verify_paper(args):
-    reports = fixtures.verify_all()
+    from .fixtures import verify_all
+
+    reports = verify_all()
     ok = sum(1 for r in reports if r.ok)
     lines = []
     for r in reports:

@@ -158,13 +158,17 @@ def sign(x: FieldValue) -> int:
         return (x > 0) - (x < 0)
     if not isinstance(x, QuadExt):
         raise TypeError(f"not a field value: {x!r}")
-    a, b = x.a, x.b
+    return quad_sign(x.a, x.b, x.d)
+
+
+def quad_sign(a, b, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), for rational or integer a and b."""
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sa * sb >= 0:
         return sa or sb
     # opposite signs: the larger of a^2 and b^2 d decides; they differ, as d
     # is not a rational square
-    return sa if a * a > b * b * x.d else sb
+    return sa if a * a > b * b * d else sb
 
 
 def cmp_values(x: FieldValue, y: FieldValue) -> int:
@@ -200,3 +204,27 @@ def format_value(x: FieldValue) -> str:
         b = str(x.b) if x.b < 0 else f"+{x.b}"
         return f"{x.a}{b}*sqrt({x.d})"
     return str(Fraction(x))
+
+
+def _scalars(values) -> list:
+    if not isinstance(values, list) or not all(isinstance(s, str) for s in values):
+        raise ValueError("expected lists of scalar strings")
+    return [parse_value(s) for s in values]
+
+
+def parse_rows(data, dim_key: str, rows_key: str, constants_key=None) -> tuple:
+    """(dimension, rows, constants) of a JSON object: data[dim_key] an
+    integer, data[rows_key] a list of lists of scalar strings and, with a
+    constants_key, data[constants_key] one list of them (else constants is
+    []), all of one field.  Any other shape, a malformed scalar or two
+    radicands raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    dim, rows = data.get(dim_key), data.get(rows_key)
+    if type(dim) is not int or not isinstance(rows, list):
+        raise ValueError("expected an integer dimension and a list of rows")
+    rows = [_scalars(r) for r in rows]
+    constants = _scalars(data.get(constants_key)) if constants_key else []
+    if len({x.d for r in rows + [constants] for x in r if isinstance(x, QuadExt)}) > 1:
+        raise ValueError("values from more than one quadratic field")
+    return dim, rows, constants

@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 from . import linalg
 from .chirotope import Chirotope, pullback_sign
 from .cycles import contraction_orders
-from .field import FieldValue, format_value, parse_value
+from .field import FieldValue, format_value, parse_rows
 from .frozen import Frozen
 from .linalg import Matrix
 from .sphere import AntipodalArrangement, SpherePoint
@@ -110,8 +110,9 @@ class NormalSystem(Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NormalSystem":
-        vectors = [[parse_value(s) for s in row] for row in data["vectors"]]
-        return cls(int(data["m"]), vectors)
+        """Raises ValueError on any shape ``field.parse_rows`` refuses."""
+        m, vectors, _ = parse_rows(data, "m", "vectors")
+        return cls(m, vectors)
 
     def __repr__(self):
         return f"NormalSystem(m={self.m}, n={self.n})"

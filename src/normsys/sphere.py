@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import linalg
 from .chirotope import Chirotope
-from .field import FieldValue, parse_value, format_value, sign
+from .field import FieldValue, format_value, parse_rows, sign
 from .frozen import Frozen
 from .linalg import Matrix
 
@@ -168,8 +168,9 @@ class AntipodalArrangement(Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AntipodalArrangement":
-        vectors = [[parse_value(s) for s in row] for row in data["points"]]
-        return cls.from_vectors(int(data["k"]), vectors)
+        """Raises ValueError on any shape ``field.parse_rows`` refuses."""
+        k, vectors, _ = parse_rows(data, "k", "points")
+        return cls.from_vectors(k, vectors)
 
 
 def oriented_complement_frame(span_reps: Sequence[Sequence[FieldValue]]) -> list:

@@ -7,6 +7,7 @@ import functools
 import random
 from bisect import bisect
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 from normsys import (
@@ -316,3 +317,20 @@ def reference_accepted(chi1, chi2, perms) -> list:
         if pullback_sign(chi1, chi2, w):
             found += w, w.negate()
     return sorted(found, key=SignedBijection.key)
+
+
+def reference_minors(rank: int, vectors: dict) -> dict:
+    """Reference for ``chirotope.scaled_minors`` over Q(sqrt d): the same
+    column expansion on the rows as given, in ``QuadExt`` arithmetic, every
+    row kept at scale 1.  Each minor is a QuadExt where a row of its base
+    holds one, else a Fraction."""
+    minors = {(): 1}
+    for k in range(rank):
+        level = {}
+        for sub in combinations(sorted(vectors), k + 1):
+            acc = 0
+            for t, i in enumerate(sub):
+                acc = vectors[i][k] * minors[sub[:t] + sub[t + 1 :]] - acc
+            level[sub] = acc
+        minors = level
+    return minors

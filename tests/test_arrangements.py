@@ -434,6 +434,19 @@ def test_sign_map_three_lines():
     assert smap.signs[(1, 2, 3)] in (1, -1)
 
 
+def test_sign_map_is_kept_with_the_lift():
+    """chi_hom is copied from the lift's signs once: two calls return the
+    same object.  A concurrent arrangement raises on every call."""
+    ha = random_arrangement(random.Random(47), 2, 6)
+    hom = concurrency_sign_map(ha)
+    assert concurrency_sign_map(ha) is hom
+    assert induced_sign_map(ha, SignedBijection.identity(ha.labels)) == hom
+    bad = HyperplaneArrangement(2, [[1, 0], [0, 1], [1, 1]], [0, 0, 0], check=False)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"hyperplanes \(1, 2, 3\) are concurrent"):
+            concurrency_sign_map(bad)
+
+
 def test_identity_induces_own_sign_map():
     rng = random.Random(42)
     ha = random_arrangement(rng, 2, 5)

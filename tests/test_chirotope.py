@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -12,12 +13,15 @@ from normsys import (
     AntipodalArrangement,
     HyperplaneArrangement,
     NormalSystem,
+    QuadExt,
     concurrency_sign_map,
     hyperplanes_from,
     normal_system_of,
+    sign,
 )
-from normsys import chirotope
-from normsys.chirotope import Chirotope
+from normsys import arrangements, chirotope
+from normsys.chirotope import Chirotope, scaled_minors
+from normsys.field import FieldTagMismatch
 from normsys.linalg import Matrix, kernel_basis
 from conftest import (
     affine_image,
@@ -26,6 +30,7 @@ from conftest import (
     random_normal_system,
     random_scalar,
     random_sphere_arrangement,
+    reference_minors,
 )
 
 
@@ -195,3 +200,84 @@ def test_repr_shows_rank_labels_and_signs():
     )
     # the rows (a_i | c_i) have determinant 1
     assert repr(smap) == "Chirotope(rank=3, labels=(1, 2, 3), signs='+')"
+
+
+def mixed_vectors(rng: random.Random, rank: int, n: int, d: int) -> dict:
+    """n vectors in Q(sqrt d)^rank whose entries are QuadExt or Fraction by
+    a coin flip (a rational one may have a second denominator); one row
+    may be all rational, and one may be zero."""
+    vectors = {
+        i: [random_scalar(rng, d if rng.random() < 0.5 else None) for _ in range(rank)]
+        for i in range(1, n + 1)
+    }
+    vectors[1][0] = QuadExt(Fraction(1, 7), Fraction(-2, 3), d)  # one QuadExt at least
+    if n > 1 and rng.random() < 0.5:
+        vectors[rng.randint(2, n)] = [Fraction(0)] * rank
+    if n > 2 and rng.random() < 0.5:
+        vectors[rng.randint(2, n)] = [random_scalar(rng) for _ in range(rank)]
+    return vectors
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_quadratic_minors_match_the_quadext_expansion(d):
+    """Over Q(sqrt d) each pair (a, b) of ``scaled_minors``, divided by the
+    product of its base's scales, equals the minor of the QuadExt expansion
+    of the rows as given, and the chirotope reads its sign: ranks 1-4,
+    n <= 8."""
+    rng, zero_rows = random.Random(70 + d), 0
+    for rank in range(1, 5):
+        for n in range(rank, 9):
+            vectors = mixed_vectors(rng, rank, n, d)
+            scale, minors, radicand = scaled_minors(rank, vectors)
+            want = reference_minors(rank, vectors)
+            assert radicand == d and list(minors) == list(want)
+            for base, (a, b) in minors.items():
+                k = prod(scale[i] for i in base)
+                assert QuadExt(Fraction(a, k), Fraction(b, k), d) == want[base]
+            chi = Chirotope(rank, vectors)
+            assert chi.signs == {base: sign(x) for base, x in want.items()}
+            zero_rows += any(not any(v) for v in vectors.values())
+    assert zero_rows >= 5
+
+
+def test_rational_minors_are_scaled_integers():
+    """Over Q the minors stay Python ints: the reference's values times the
+    product of the base's scales."""
+    rng = random.Random(75)
+    for rank in range(1, 5):
+        for n in range(rank, 9):
+            vectors = {
+                i: [random_scalar(rng) for _ in range(rank)] for i in range(1, n + 1)
+            }
+            scale, minors, radicand = scaled_minors(rank, vectors)
+            assert radicand is None
+            for base, x in reference_minors(rank, vectors).items():
+                assert type(minors[base]) is int
+                assert minors[base] == x * prod(scale[i] for i in base)
+
+
+def test_wall_circuits_match_the_quadext_expansion():
+    """``arrangements._circuits`` over Q(sqrt d) gives today's wall values
+    and types: those of the QuadExt expansion of the normals as given,
+    rows mixing Fraction and QuadExt entries included."""
+    rng = random.Random(76)
+    for d, m, n in [(2, 1, 4), (3, 2, 6), (5, 3, 7), (2, 4, 7)]:
+        ha = random_arrangement(rng, m, n, d)
+        # the last m normals all rational: the minor of their base stays a
+        # Fraction
+        coeffs = [list(r) for r in ha.coeffs[:-m]]
+        coeffs += [[random_scalar(rng) for _ in range(m)] for _ in range(m)]
+        ha = HyperplaneArrangement(m, coeffs, ha.constants)
+        minors = reference_minors(m, dict(zip(ha.labels, ha.coeffs)))
+        hom = concurrency_sign_map(ha).signs
+        for sub, v in arrangements._circuits(ha).items():
+            s = hom[sub] * (-1) ** m
+            want = [0] * n
+            for j, i in enumerate(sub):
+                want[i - 1] = (-s if j % 2 else s) * minors[sub[:j] + sub[j + 1 :]]
+            assert [(type(x), x) for x in v] == [(type(x), x) for x in want]
+
+
+def test_two_quadratic_fields_never_mix():
+    with pytest.raises(FieldTagMismatch, match=r"cannot mix sqrt\(2\) and sqrt\(3\)"):
+        Chirotope(1, {1: [QuadExt(0, 1, 2)], 2: [QuadExt(0, 1, 3)]})

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from normsys import AntipodalArrangement, HyperplaneArrangement, NormalSystem
 from normsys.cli import main
 
 INPUTS = Path(__file__).parents[1] / "bench" / "inputs"
@@ -183,3 +184,99 @@ def test_fuzzed_files_end_in_an_exit_code(
     argv += [command] + (paths if command.endswith("-iso") else paths[:1])
     assert main(argv) in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+# --- the readers share the loader's checks ------------------------------------
+
+READERS = {
+    "vectors": NormalSystem,
+    "points": AntipodalArrangement,
+    "coeffs": HyperplaneArrangement,
+}
+TWO_ROWS = [["1", "0"], ["0", "1"]]
+MISSING = object()
+
+
+def object_dict(key: str, dim=MISSING, rows=MISSING, constants=MISSING) -> dict:
+    """An object of this kind in the plane (the circle for points): two
+    rows of width 2 and, for hyperplanes, their constants, with any part
+    replaced or left out."""
+    data = {KEYS[key]: 1 if key == "points" else 2, key: TWO_ROWS}
+    if key == "coeffs":
+        data["constants"] = ["0", "1"]
+    for name, value in ((KEYS[key], dim), (key, rows), ("constants", constants)):
+        if value is not MISSING:
+            data[name] = value
+    return data
+
+
+SHAPE = "expected an integer dimension and a list of rows"
+SCALARS = "expected lists of scalar strings"
+# (case, change to the valid object, the ValueError's message)
+MALFORMED = [
+    ("dim-string", {"dim": "2"}, SHAPE),
+    ("dim-float", {"dim": 1.5}, SHAPE),
+    ("dim-bool", {"dim": True}, SHAPE),
+    ("dim-null", {"dim": None}, SHAPE),
+    ("rows-string", {"rows": "rows"}, SHAPE),
+    ("row-string", {"rows": [["1", "0"], "01"]}, SCALARS),
+    ("scalar-int", {"rows": [["1", 0], ["0", "1"]]}, SCALARS),
+    ("scalar-bad", {"rows": [["1/x", "0"], ["0", "1"]]}, "Invalid literal for Fraction"),
+    ("scalar-zero-den", {"rows": [["1/0", "0"], ["0", "1"]]}, "zero denominator"),
+    ("two-fields", {"rows": [["1*sqrt(2)", "1"], ["1", "1*sqrt(3)"]]},
+     "more than one quadratic field"),
+]
+
+
+@pytest.mark.parametrize("key", sorted(READERS))
+@pytest.mark.parametrize(
+    "change, message", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED]
+)
+def test_readers_refuse_what_the_loader_refuses(key, change, message):
+    """``from_json_dict`` raises ValueError with the loader's message, and
+    never KeyError, AttributeError or TypeError."""
+    reader = READERS[key].from_json_dict
+    assert reader(object_dict(key)) == reader(json.loads(json.dumps(object_dict(key))))
+    with pytest.raises(ValueError, match=message):
+        reader(object_dict(key, **change))
+
+
+def test_readers_refuse_missing_parts():
+    for key, reader in READERS.items():
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            reader.from_json_dict([])
+        with pytest.raises(ValueError, match=SHAPE):
+            reader.from_json_dict({key: TWO_ROWS})
+        with pytest.raises(ValueError, match=SHAPE):
+            reader.from_json_dict({KEYS[key]: 2})
+    data = object_dict("coeffs")
+    del data["constants"]
+    with pytest.raises(ValueError, match=SCALARS):
+        HyperplaneArrangement.from_json_dict(data)
+    with pytest.raises(ValueError, match="more than one quadratic field"):
+        HyperplaneArrangement.from_json_dict(
+            object_dict("coeffs", constants=["1*sqrt(2)", "1*sqrt(5)"])
+        )
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(object_files())
+def test_readers_agree_with_validate(tmp_path, capsys, data):
+    """On random object files the reader of the file's kind builds an
+    object iff ``validate`` exits 0, and otherwise raises ValueError."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code = main(["validate", str(path)])
+    capsys.readouterr()
+    keys = [k for k in READERS if k in data] or sorted(READERS)
+    for key in keys:
+        try:
+            READERS[key].from_json_dict(data)
+            built = True
+        except ValueError:
+            built = False
+        assert built == (code == 0)

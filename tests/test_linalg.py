@@ -70,13 +70,16 @@ def test_scaled_minors_equal_det():
                 i, j = rng.sample(sorted(vectors), 2)
                 c = random_scalar(rng, d)
                 vectors[j] = [c * x for x in vectors[i]]
-            scale, minors = scaled_minors(r, vectors)
+            scale, minors, radicand = scaled_minors(r, vectors)
+            assert radicand == d
             assert list(minors) == list(combinations(sorted(vectors), r))
             assert all(k > 0 for k in scale.values())
             for base, value in minors.items():
                 rows = [[scale[i] * x for x in vectors[i]] for i in base]
+                if d is not None:  # the pair (a, b) is a + b sqrt(d)
+                    value = QuadExt(*value, d)
                 assert value == det(Matrix(rows))
-            zeros = [base for base, value in minors.items() if value == 0]
+            zeros = [base for base, value in minors.items() if value in (0, (0, 0))]
             assert Chirotope(r, vectors).zero() == (zeros[0] if zeros else None)
             dependent += bool(zeros)
     assert dependent >= 15
