@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import comb, factorial
-from operator import gt, itemgetter, ne, xor
+from operator import add, gt, itemgetter, ne, xor
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
@@ -183,26 +183,33 @@ def _aligned(perm: Dict[int, int], order: Sequence[int], nbrs) -> bool:
 
 
 def _fingerprints(chi: Chirotope):
-    """The neighbour table of every contraction order of chi, and the
-    fingerprint of every (r-2)-subset H: the sorted tuple, over h in H, of
-    the number of consecutive pairs (q, p) of order(H) with p next to h in
+    """The neighbour table of every contraction order of chi, the
+    fingerprint of every (r-2)-subset H, their sorted multiset, and the
+    signature of every label x: the sorted fingerprints of the subsets
+    that hold x.  fp(H) is the sorted tuple, over h in H, of the number of
+    consecutive pairs (q, p) of order(H) with p next to h in
     order(H - h + q) and q next to h in order(H - h + p), the triangles at
     h in chi/(H - h).  A witness carries each order onto its image's up to
-    rotation and reversal, so fp2(pi H) = fp1(H).  Each (r-3)-subset
-    G = H - h is visited once; () at rank 2.  Kept with chi.
+    rotation and reversal, so fp2(pi H) = fp1(H) and sig2(pi x) = sig1(x).
+    Each (r-3)-subset G = H - h is visited once; () at rank 2, where every
+    signature is ().  Kept with chi.
     """
     labels, size = chi.labels, chi.rank - 2
     nbrs = {h: _neighbours(o) for h, o in chi._table(contraction_orders).items()}
-    if not size:
-        return nbrs, {(): ()}
     counts = {head: [] for head in nbrs}
-    for g in combinations(labels, size - 1):
+    for g in combinations(labels, size - 1) if size else ():
         up = {x: tuple(sorted(g + (x,))) for x in labels if x not in g}
         nb = {x: nbrs[head] for x, head in up.items()}  # x: neighbours in order(G + x)
         for h, mine in nb.items():
             triangles = [q for q, (_, p) in mine.items() if p in nb[q][h] and q in nb[p][h]]
             counts[up[h]].append(len(triangles))
-    return nbrs, {head: tuple(sorted(c)) for head, c in counts.items()}
+    fp = {head: tuple(sorted(c)) for head, c in counts.items()}
+    ranked = sorted(fp.items(), key=itemgetter(1))  # so each signature fills in order
+    sig = {x: [] for x in labels}
+    for head, f in ranked:
+        for x in head:
+            sig[x].append(f)
+    return nbrs, fp, [f for _, f in ranked], {x: tuple(f) for x, f in sig.items()}
 
 
 def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
@@ -211,21 +218,23 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
     reversal, for chirotopes of rank r on n >= 2r labels; every
     permutation when r = 1.  With a pin label, only those that fix it.
 
-    Such a permutation keeps every subset's fingerprint (``_fingerprints``),
-    so there are none when the two fingerprint multisets differ.  The head
-    is the subset (one that contains the pin, if any) whose fingerprint is
-    shared by the fewest eligible subsets of chi2, the first on a tie
-    (empty at r = 2).  Its order (the seed) is aligned with the order of
-    chi2 by each image set S of the same fingerprint, both ways, every
-    rotation, which maps all labels but the head's.  Those are read off a
-    probe, the sorted first r - 2 seed labels: its order holds the head
-    and n - 2r + 4 >= 4 seed labels (anchors), and the alignment with its
-    image's order that puts the first anchor on its image, in each
-    direction, names the head's images if every other anchor fits too.
-    The anchors' images fill the rest of that order, so the head lands on
-    S.  The probe comes first: its image and the anchors are read off the
-    rotated target by seed slot, and a permutation is built only for an
-    alignment that passes.
+    Such a permutation keeps every subset's fingerprint and every label's
+    signature (``_fingerprints``), so there are none when the two
+    fingerprint multisets differ.  The head is the subset (one that
+    contains the pin, if any) whose fingerprint is shared by the fewest
+    eligible subsets of chi2, the first on a tie (empty at r = 2).  Its
+    order (the seed) is aligned with the order of chi2 by each image set S
+    of the same fingerprint, both ways, every rotation, which maps all
+    labels but the head's.  Those are read off a probe, the sorted first
+    r - 2 seed labels: its order holds the head and n - 2r + 4 >= 4 seed
+    labels (anchors), and the alignment with its image's order that puts
+    the first anchor on its image, in each direction, names the head's
+    images if every other anchor fits too.  The anchors' images fill the
+    rest of that order, so the head lands on S.  Only a rotation whose
+    window of signatures in the target equals the seed's is tried.  The
+    probe comes first: its image and the anchors are read off the rotated
+    target by seed slot, and a permutation is built only for an alignment
+    that passes.
     """
     labels, r = chi1.labels, chi1.rank
     if r == 1:
@@ -237,15 +246,16 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
         return
     subsets = list(combinations(labels, r - 2))
     orders1, orders2 = chi1._table(contraction_orders), chi2._table(contraction_orders)
-    (_, fp1), (nbrs2, fp2) = chi1._table(_fingerprints), chi2._table(_fingerprints)
-    if sorted(fp1.values()) != sorted(fp2.values()):
+    _, fp1, multiset1, sig1 = chi1._table(_fingerprints)
+    nbrs2, fp2, multiset2, sig2 = chi2._table(_fingerprints)
+    if multiset1 != multiset2:
         return
     heads = [h for h in subsets if pin in h] or subsets
     shared = Counter(fp2[h] for h in heads)  # fingerprint: eligible images in chi2
     head = min(heads, key=lambda h: shared[fp1[h]])
     others = [h for h in subsets if h != head]
     seed = orders1[head]
-    size = len(seed)
+    size, want = len(seed), list(map(sig1.__getitem__, seed))
     if head:
         order = orders1[tuple(sorted(seed[: r - 2]))]
         at, slot = {q: i for i, q in enumerate(order)}, {q: k for k, q in enumerate(seed)}
@@ -272,7 +282,10 @@ def _candidates(chi1: Chirotope, chi2: Chirotope, pin=None):
         target = orders2[image_set]
         for seq in (target, target[::-1]):
             ring = seq + seq
+            sigs = list(map(sig2.__getitem__, ring))
             for rot in range(size):
+                if sigs[rot : rot + size] != want:
+                    continue
                 for images in head_images(ring, rot):
                     perm = dict(zip(seed, ring[rot : rot + size]))
                     perm.update(zip(head, images))
@@ -316,26 +329,40 @@ def _witnesses(chi1: Chirotope, chi2: Chirotope, pin=None) -> List[SignedBijecti
     return _accepted(chi1, chi2, _candidates(chi1, chi2, pin))
 
 
+def _columns(chi: Chirotope):
+    """chi's sorted bases as r label columns, and its signs; kept with chi."""
+    return list(zip(*chi.signs)), tuple(chi.signs.values())
+
+
+def _by_mask(chi: Chirotope):
+    """chi's signs keyed by the label mask sum(1 << q) of each base, in the
+    sorted order ``combinations`` yields; kept with chi."""
+    masks = map(sum, combinations([1 << q for q in chi.labels], chi.rank))
+    return dict(zip(masks, chi.signs.values()))
+
+
 def _accepted(chi1: Chirotope, chi2: Chirotope, candidates) -> List[SignedBijection]:
     """The witnesses whose permutation is a candidate (distinct), sorted;
     chi1, chi2 uniform, of rank r on n > r labels.
 
     One pass per candidate pi over chi1's sorted bases, read as r label
-    columns: x(B) = [chi2(pi B) != chi1(B)] is chi2 on each sorted image
-    tuple, flipped by one gt pass per column pair.  A witness pulls chi2
-    back to eps * chi1, so with B' the first base B0 with b replaced by u,
-    mu(u) / mu(b) = -1 iff x(B') != x(B0): exchanges at b0 give mu outside
-    B0 (B' = B0[1:] + (u,), u above B0), those with u1, the first label
-    outside B0, the rest, and mu(b0) = +1.  (pi, +-mu) are witnesses iff
-    x(B) xor [mu(B) < 0] is the same on every base.
+    columns (``_columns``), each label i read as its image's bit
+    1 << pi(i): x(B) = [chi2(pi B) != chi1(B)] is chi2 on each image
+    base's mask, the columns' sum (``_by_mask``), flipped by one gt pass
+    per column pair, as the bits compare as the labels do.  A witness
+    pulls chi2 back to eps * chi1, so with B' the first base B0 with b
+    replaced by u, mu(u) / mu(b) = -1 iff x(B') != x(B0): exchanges at b0
+    give mu outside B0 (B' = B0[1:] + (u,), u above B0), those with u1,
+    the first label outside B0, the rest, and mu(b0) = +1.  (pi, +-mu)
+    are witnesses iff x(B) xor [mu(B) < 0] is the same on every base.
     """
     candidates = iter(candidates)
     perm = next(candidates, None)
     if perm is None:
         return []
     labels, r = chi1.labels, chi1.rank
-    n, signs2 = len(labels), chi2.signs
-    cols, s1 = [tuple(map(itemgetter(k), chi1.signs)) for k in range(r)], chi1.signs.values()
+    (cols, s1), by_mask = chi1._table(_columns), chi2._table(_by_mask)
+    n = len(labels)
     pairs = list(combinations(range(r), 2))
     base, outside = labels[:r], labels[r:]
     # B0[1:] + (u,) follows the C(n-1, r-1) bases that hold b0, u by u;
@@ -344,8 +371,12 @@ def _accepted(chi1: Chirotope, chi2: Chirotope, candidates) -> List[SignedBiject
     at = [(base[t], comb(n - 1 - t, r - 1 - t)) for t in range(1, r)]
     found = []
     for perm in chain((perm,), candidates):
-        images = [list(map(perm.__getitem__, col)) for col in cols]
-        x = map(ne, s1, map(signs2.__getitem__, map(tuple, map(sorted, zip(*images)))))
+        bit = {i: 1 << q for i, q in perm.items()}
+        images = [list(map(bit.__getitem__, col)) for col in cols]
+        masks = images[0]
+        for col in images[1:]:
+            masks = map(add, masks, col)
+        x = map(ne, s1, map(by_mask.__getitem__, masks))
         for i, j in pairs:
             x = map(xor, x, map(gt, images[i], images[j]))
         x = list(x)

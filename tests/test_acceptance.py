@@ -16,6 +16,7 @@ from normsys import (
     HyperplaneArrangement,
     Matrix,
     SignedBijection,
+    Symbol,
     adjacent_cone_constants,
     all_orbits,
     all_symbols,
@@ -37,6 +38,7 @@ from normsys import (
     sign,
     standard_arrangement,
 )
+from normsys.chirotope import pullback_sign
 from normsys.linalg import rank
 from conftest import (
     add,
@@ -141,6 +143,42 @@ def test_criterion_03_negdet_orbit_span(report):
         f"the 192 symbols span {len(touched)} orbits, not 8"
     )
     assert len(touched) == 8
+
+
+def test_criterion_03_negdet_relabelling_orbits(report):
+    """The 24 automorphisms of the standard arrangement that pull chi back
+    to +chi act on symbols by relabelling, +-i -> +-mu(i) pi(i): freely,
+    in 16 orbits of 24, of which exactly 8 make up the 192
+    negative-determinant symbols and one is the compatible set."""
+    start = time.monotonic()
+    arr = standard_arrangement()
+    chi = arr.chirotope
+    group = [w for w in automorphisms(arr) if pullback_sign(chi, chi, w) == 1]
+    assert len(group) == 24
+
+    def relabel(w, s):
+        def f(t):
+            return (1 if t > 0 else -1) * w.signs[abs(t)] * w.perm[abs(t)]
+
+        return Symbol(f(s.head), tuple(map(f, s.triple)))
+
+    syms = all_symbols()
+    orbits = {frozenset(relabel(w, s) for w in group) for s in syms}
+    assert len(orbits) == 16
+    assert all(len(o) == 24 for o in orbits)  # full orbits <=> free action
+    assert set().union(*orbits) == set(syms)
+    negdet = {s for s in syms if triple_determinant_sign(arr, s.triple) < 0}
+    inside = [o for o in orbits if o <= negdet]
+    assert len(negdet) == 192
+    assert len(inside) == 8 and set().union(*inside) == negdet
+    assert load_fixture("S4-symbols").payload in orbits
+    elapsed = time.monotonic() - start
+    assert elapsed < 5
+    report(
+        f"criterion 03 (relabelling by the 24 chi-preserving automorphisms: "
+        f"16 free orbits of 24, 192 negative-determinant symbols in 8 orbits, "
+        f"compatible set one orbit): PASS [{elapsed:.2f}s]"
+    )
 
 
 def test_criterion_04_automorphism_group(report):

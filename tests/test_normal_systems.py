@@ -333,10 +333,11 @@ def _fingerprint_table(chi):
 
 @pytest.mark.parametrize("r,n", [(3, 6), (3, 7), (4, 8), (5, 10)])
 def test_fingerprints_are_invariant(r, n):
-    """fp2(pi H) = fp1(H) for every head H and every witness pi: planted
-    pairs of systems at rank r, and of lifts of rank r with e = n pinned.
-    The witnesses come from the ordered-tuple generator, which reads no
-    fingerprint, and include the planted one."""
+    """fp2(pi H) = fp1(H) for every head H, and sig2(pi x) = sig1(x) for
+    every label x, for every witness pi: planted pairs of systems at rank
+    r, and of lifts of rank r with e = n pinned.  The witnesses come from
+    the ordered-tuple generator, which reads no fingerprint, and include
+    the planted one."""
     rng = random.Random(600 + 10 * r + n)
     a = random_normal_system(rng, r, n)
     b, planted = planted_system(rng, a)
@@ -347,12 +348,15 @@ def test_fingerprints_are_invariant(r, n):
     ]
     for chi1, chi2, pin in pairs:
         fp1, fp2 = _fingerprint_table(chi1), _fingerprint_table(chi2)
+        sig1, sig2 = _fingerprints(chi1)[3], _fingerprints(chi2)[3]
+        assert sig1 == {x: tuple(sorted(fp1[h] for h in fp1 if x in h)) for x in chi1.labels}
         witnesses = _primal_witnesses(chi1, chi2, pin)
         assert witnesses
         assert pin is not None or planted in witnesses
         for w in witnesses:
             for head, fp in fp1.items():
                 assert fp2[tuple(sorted(w.perm[i] for i in head))] == fp
+            assert all(sig2[w.perm[x]] == sig for x, sig in sig1.items())
 
 
 def test_unequal_fingerprints_yield_no_candidates():

@@ -27,7 +27,7 @@ import sys
 import time
 from itertools import combinations
 
-SHAPES = ((3, 10), (4, 8), (5, 8), (4, 10))
+SHAPES = ((3, 10), (4, 8), (5, 8), (4, 10), (6, 12))
 K = 8
 ROUNDS = 5
 SEED = 2201
