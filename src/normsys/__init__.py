@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "field": ("QuadExt", "cmp_values", "format_value", "parse_value", "sign"),
     "linalg": ("Matrix", "det", "kernel_basis", "rank"),
-    "chirotope": ("Chirotope",),
+    "chirotope": ("Chirotope", "SignedBijection"),
     "sphere": (
         "AntipodalArrangement",
         "ArrangementError",
@@ -27,7 +27,6 @@ _EXPORTS = {
     "cycles": ("CycleInvariantSet", "LineCycle", "all_cycle_invariants", "line_cycle"),
     "symbols": (
         "STANDARD_DICTIONARY",
-        "SignedBijection",
         "Symbol",
         "all_orbits",
         "all_symbols",

@@ -19,13 +19,10 @@ from itertools import combinations, permutations, product
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalg
-from .chirotope import Chirotope, scaled_minors
+from .chirotope import Chirotope, SignedBijection, scaled_minors
 from .field import FieldValue, QuadExt, format_value, parse_rows
 from .frozen import Frozen
-from .linalg import Matrix
 from .normal_systems import NormalSystem, _witnesses
-from .symbols import SignedBijection
 
 _INVALID = "not a general-position hyperplane arrangement"
 
@@ -250,8 +247,9 @@ def predicted_counts(n: int, m: int) -> Tuple[int, int, int]:
 
 
 def _vertex(ha: HyperplaneArrangement, subset: Sequence[int]) -> tuple:
-    a = Matrix([ha.row(i) for i in subset])
-    return linalg.solve(a, [ha.constant(i) for i in subset])
+    from .linalg import Matrix, solve
+
+    return solve(Matrix([ha.row(i) for i in subset]), [ha.constant(i) for i in subset])
 
 
 def polyhedralities(ha: HyperplaneArrangement) -> List[Tuple[int, ...]]:
@@ -342,11 +340,12 @@ def _line_vertex_order(
 ) -> Tuple[int, ...]:
     """Labels of the other hyperplanes in the order their vertices appear
     along the line cut out by the given (m-1)-subset."""
+    from .linalg import Matrix, kernel_basis
+
     line = tuple(sorted(line))
     if len(line) != ha.m - 1:
         raise ValueError("need m - 1 hyperplanes to cut out a line")
-    a = Matrix([ha.row(i) for i in line])
-    dirs = linalg.kernel_basis(a)
+    dirs = kernel_basis(Matrix([ha.row(i) for i in line]))
     if len(dirs) != 1:
         raise ValueError("subset does not cut out a line")
     d = dirs[0]

@@ -4,7 +4,9 @@ White and Ziegler, *Oriented Matroids*, 1993, ch. 3).  Line cycles, the
 isomorphism witness test and validity are read off χ; an arrangement's χ
 is that of its affine lift, the rows (aᵢ | cᵢ) and e, and its concurrency
 sign map χ_hom, the deletion of e, is a ``Chirotope`` too.  The dual χ*, of
-rank n − r, is read off χ's signs alone.
+rank n − r, is read off χ's signs alone.  So are the contraction orders,
+and the witness type ``SignedBijection`` lives here, so the deciders load
+nothing past this module, which imports only ``field`` and ``frozen``.
 
 χ is computed once per sorted r-subset; a reordered subset is looked up by
 the parity of its sort.  Every maximal minor comes from one division-free
@@ -25,11 +27,12 @@ a pair, a pin, a coefficient value or a result is kept.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import reduce
-from itertools import combinations, starmap
+from itertools import combinations, permutations, product, starmap
 from math import comb, lcm
-from operator import gt, mul
-from typing import Dict, Optional, Sequence, Tuple, Union
+from operator import gt, itemgetter, mul
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .field import FieldTagMismatch, FieldValue, QuadExt, quad_sign
 from .frozen import Frozen
@@ -201,6 +204,49 @@ class Chirotope(Frozen):
         return -s if _odd(seq) else s
 
 
+def contraction_orders(chi: Chirotope) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """The cyclic order of the lines of the rank-2 contraction chi/H, from
+    the first label q0 outside H on, for every sorted (rank - 2)-subset H
+    (the empty head at rank 2).
+
+    Each base B is read once: for each position pair i < j it gives the
+    sign chi(H, B_i, B_j) = chi(B) (-1)^(i+j+1) with H = B without B_i,
+    B_j.  Folding every line into the half-plane that starts at the first
+    other label q0 turns line b by f_b = chi(H, q0, b), and a comes before
+    b iff f_a f_b chi(H, a, b) > 0; in that product each label's position
+    parity appears twice, so chi(B) stands for each of the three signs.
+    A label's place in the order is the number of labels before it.  For
+    a fixed H the bases H + {a, b} come in the lexicographic order of
+    (a, b), so H's signs arrive in the order of ``combinations``, q0's
+    pairs first.
+    """
+    labels, r = chi.labels, chi.rank
+    cuts = []  # base -> its labels at every position but i and j, as a tuple
+    for i, j in combinations(range(r), 2):
+        keep = [t for t in range(r) if t not in (i, j)]
+        if len(keep) > 1:
+            cuts.append(itemgetter(*keep))
+        else:  # a slice keeps the one label, or none, in a tuple
+            cuts.append(itemgetter(slice(keep[0], keep[0] + 1) if keep else slice(0)))
+    signs = defaultdict(list)
+    for base, s in chi.signs.items():
+        for cut in cuts:
+            signs[cut(base)].append(s)
+    size = len(labels) - r + 2
+    pairs = list(combinations(range(1, size), 2))
+    orders = {}
+    for head, seq in signs.items():
+        fold = [1] + seq[: size - 1]
+        before = [0] + [1] * (size - 1)
+        for (a, b), t in zip(pairs, seq[size - 1 :]):
+            before[b if fold[a] * fold[b] == t else a] += 1
+        order = [0] * size
+        for q, k in zip((q for q in labels if q not in head), before):
+            order[k] = q
+        orders[head] = tuple(order)
+    return orders
+
+
 def pullback_sign(chi1: Chirotope, chi2: Chirotope, w) -> int:
     """+1 if the signed bijection w pulls chi2 back to chi1, -1 if to
     -chi1, 0 if to neither.
@@ -220,3 +266,62 @@ def pullback_sign(chi1: Chirotope, chi2: Chirotope, w) -> int:
         if s2 != (eps or 1) * s1:
             return 0
     return eps or 1
+
+
+class SignedBijection(Frozen):
+    """delta(P_i) = mu(i) * P'_{pi(i)} on an arbitrary label set."""
+
+    __slots__ = ("perm", "signs")
+
+    def __init__(self, perm: Dict[int, int], signs: Dict[int, int]):
+        if set(perm) != set(signs):
+            raise ValueError("permutation and sign vector must share labels")
+        if set(perm.values()) != set(perm):
+            raise ValueError("not a permutation of the label set")
+        if any(s not in (1, -1) for s in signs.values()):
+            raise ValueError("signs must be +-1")
+        self._set(dict(sorted(perm.items())), dict(sorted(signs.items())))
+
+    @property
+    def labels(self) -> Tuple[int, ...]:
+        return tuple(self.perm)
+
+    def key(self) -> tuple:
+        # both dicts are kept in sorted label order
+        return tuple(self.perm.values()), tuple(self.signs.values())
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __lt__(self, other):
+        return self.key() < other.key()
+
+    def __repr__(self):
+        return f"SignedBijection({self.perm}, {self.signs})"
+
+    def negate(self) -> "SignedBijection":
+        return SignedBijection._of(self.perm, {i: -s for i, s in self.signs.items()})
+
+    def compose(self, first: "SignedBijection") -> "SignedBijection":
+        """self after first."""
+        perm = {i: self.perm[first.perm[i]] for i in first.labels}
+        signs = {i: first.signs[i] * self.signs[first.perm[i]] for i in first.labels}
+        return SignedBijection(perm, signs)
+
+    @classmethod
+    def identity(cls, labels: Iterable[int]) -> "SignedBijection":
+        labels = list(labels)
+        return cls({i: i for i in labels}, {i: 1 for i in labels})
+
+
+def all_signed_bijections(labels: Sequence[int]) -> Iterator[SignedBijection]:
+    """Every signed bijection of the labels, one at a time: 2^n n! of them,
+    too many to hold at once beyond n = 6; from sorted labels, so each is
+    built sorted and valid, and they come in increasing ``key`` order.  The
+    permutation dicts and the 2^n sign dicts are built once and shared."""
+    labels = sorted(labels)
+    signs = [dict(zip(labels, sv)) for sv in product((-1, 1), repeat=len(labels))]
+    for images in permutations(labels):
+        perm = dict(zip(labels, images))
+        for sv in signs:
+            yield SignedBijection._of(perm, sv)

@@ -198,14 +198,9 @@ def cmd_signs(args):
 
 
 def cmd_symbols(args):
-    from .symbols import compatible_symbols
+    from .symbols import compatible_symbols, standard_arrangement
 
-    if args.path:
-        [arr] = _load_required(SPHERE, args.path)
-    else:
-        from .fixtures import load_fixture
-
-        arr = load_fixture("S4-standard").payload
+    arr = _load_required(SPHERE, args.path)[0] if args.path else standard_arrangement()
     if arr.n != 4 or arr.dim_k != 2:
         path = args.path or "<standard>"
         raise InvalidObject(f"{path}: need a four-pair 2-sphere arrangement")

@@ -7,21 +7,20 @@ invariant is the family of those cycles over all projections along
 trigonometry.  ``line_cycle`` reads one cycle off explicit plane
 coordinates; ``all_cycle_invariants`` reads the whole family off the
 chirotope, without projecting: each cycle is the cyclic order of lines of
-a rank-2 contraction.  ``contraction_orders`` builds the orders of every
-contraction by a (rank-2)-subset in one pass over the bases, counting for
-each line the lines before it; the isomorphism search aligns the same
-orders directly; both read the orders kept with chi (``Chirotope._table``).
+a rank-2 contraction.  ``chirotope.contraction_orders`` builds the orders
+of every contraction by a (rank-2)-subset in one pass over the bases,
+counting for each line the lines before it; the isomorphism search aligns
+the same orders directly; both read the orders kept with chi
+(``Chirotope._table``).
 """
 
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from itertools import combinations
-from operator import itemgetter
 from typing import Dict, Sequence, Tuple
 
-from .chirotope import Chirotope, _odd
+from .chirotope import Chirotope, _odd, contraction_orders
 from .field import sign
 from .frozen import Frozen
 from .linalg import Matrix
@@ -140,49 +139,6 @@ def all_cycle_invariants(arr: AntipodalArrangement) -> CycleInvariantSet:
     if arr.n < k + 2:
         raise ValueError(f"need at least {k + 2} antipodal pairs")
     return chirotope_cycles(arr.chirotope)
-
-
-def contraction_orders(chi: Chirotope) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
-    """The cyclic order of the lines of the rank-2 contraction chi/H, from
-    the first label q0 outside H on, for every sorted (rank - 2)-subset H
-    (the empty head at rank 2).
-
-    Each base B is read once: for each position pair i < j it gives the
-    sign chi(H, B_i, B_j) = chi(B) (-1)^(i+j+1) with H = B without B_i,
-    B_j.  Folding every line into the half-plane that starts at the first
-    other label q0 turns line b by f_b = chi(H, q0, b), and a comes before
-    b iff f_a f_b chi(H, a, b) > 0; in that product each label's position
-    parity appears twice, so chi(B) stands for each of the three signs.
-    A label's place in the order is the number of labels before it.  For
-    a fixed H the bases H + {a, b} come in the lexicographic order of
-    (a, b), so H's signs arrive in the order of ``combinations``, q0's
-    pairs first.
-    """
-    labels, r = chi.labels, chi.rank
-    cuts = []  # base -> its labels at every position but i and j, as a tuple
-    for i, j in combinations(range(r), 2):
-        keep = [t for t in range(r) if t not in (i, j)]
-        if len(keep) > 1:
-            cuts.append(itemgetter(*keep))
-        else:  # a slice keeps the one label, or none, in a tuple
-            cuts.append(itemgetter(slice(keep[0], keep[0] + 1) if keep else slice(0)))
-    signs = defaultdict(list)
-    for base, s in chi.signs.items():
-        for cut in cuts:
-            signs[cut(base)].append(s)
-    size = len(labels) - r + 2
-    pairs = list(combinations(range(1, size), 2))
-    orders = {}
-    for head, seq in signs.items():
-        fold = [1] + seq[: size - 1]
-        before = [0] + [1] * (size - 1)
-        for (a, b), t in zip(pairs, seq[size - 1 :]):
-            before[b if fold[a] * fold[b] == t else a] += 1
-        order = [0] * size
-        for q, k in zip((q for q in labels if q not in head), before):
-            order[k] = q
-        orders[head] = tuple(order)
-    return orders
 
 
 def chirotope_cycles(chi: Chirotope) -> CycleInvariantSet:

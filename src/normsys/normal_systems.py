@@ -20,16 +20,16 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import comb, factorial
 from operator import add, gt, itemgetter, ne, xor
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from . import linalg
-from .chirotope import Chirotope, pullback_sign
-from .cycles import contraction_orders
+from .chirotope import (
+    Chirotope, SignedBijection, all_signed_bijections, contraction_orders, pullback_sign
+)
 from .field import FieldValue, format_value, parse_rows
 from .frozen import Frozen
-from .linalg import Matrix
-from .sphere import AntipodalArrangement, SpherePoint
-from .symbols import SignedBijection, all_signed_bijections
+
+if TYPE_CHECKING:
+    from .sphere import AntipodalArrangement
 
 # Where the shape alone fixes the witnesses, they are all enumerated: 2^n n!
 # with n <= m, 2 per permutation at searched rank 1.  The bound is n = 7, as
@@ -81,7 +81,9 @@ class NormalSystem(Frozen):
     def is_valid(self) -> bool:
         # with n >= m every smaller subset lies in an independent m-subset
         if self.n < self.m:
-            return linalg.rank(Matrix(self.vectors)) == self.n
+            from .linalg import Matrix, rank
+
+            return rank(Matrix(self.vectors)) == self.n
         return self.chirotope.zero() is None
 
     def _checked(self) -> "NormalSystem":
@@ -91,6 +93,8 @@ class NormalSystem(Frozen):
 
     def to_arrangement(self) -> AntipodalArrangement:
         """The antipodal arrangement view on the (m-1)-sphere."""
+        from .sphere import AntipodalArrangement, SpherePoint
+
         # positive rescaling to canonical points leaves chi unchanged
         points = {i: SpherePoint(v) for i, v in enumerate(self.vectors, 1)}
         return AntipodalArrangement._of(self.m - 1, points, self.chirotope)

@@ -4,15 +4,16 @@ A symbol "p -> (q, r, s)" records that point p is a positive combination of
 the ordered triple (q, r, s), with the triple clockwise (negatively)
 oriented.  Signed labels live in {+-1, ..., +-4}; the four underlying lines
 are pairwise distinct.  The symmetric group on four letters acts freely on
-the 384 formal symbols through four generator rules.
+the 384 formal symbols through four generator rules.  Dictionary matches
+and automorphisms are ``chirotope.SignedBijection`` values.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .chirotope import pullback_sign
+from .chirotope import SignedBijection, all_signed_bijections, pullback_sign
 from .frozen import Frozen
 from .sphere import AntipodalArrangement
 
@@ -134,65 +135,6 @@ def compatible_symbols(arr: AntipodalArrangement) -> frozenset:
         if negative(s.triple)
         and all(negative(s.triple[:j] + (s.head,) + s.triple[j + 1 :]) for j in range(3))
     )
-
-
-class SignedBijection(Frozen):
-    """delta(P_i) = mu(i) * P'_{pi(i)} on an arbitrary label set."""
-
-    __slots__ = ("perm", "signs")
-
-    def __init__(self, perm: Dict[int, int], signs: Dict[int, int]):
-        if set(perm) != set(signs):
-            raise ValueError("permutation and sign vector must share labels")
-        if set(perm.values()) != set(perm):
-            raise ValueError("not a permutation of the label set")
-        if any(s not in (1, -1) for s in signs.values()):
-            raise ValueError("signs must be +-1")
-        self._set(dict(sorted(perm.items())), dict(sorted(signs.items())))
-
-    @property
-    def labels(self) -> Tuple[int, ...]:
-        return tuple(self.perm)
-
-    def key(self) -> tuple:
-        # both dicts are kept in sorted label order
-        return tuple(self.perm.values()), tuple(self.signs.values())
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
-    def __repr__(self):
-        return f"SignedBijection({self.perm}, {self.signs})"
-
-    def negate(self) -> "SignedBijection":
-        return SignedBijection._of(self.perm, {i: -s for i, s in self.signs.items()})
-
-    def compose(self, first: "SignedBijection") -> "SignedBijection":
-        """self after first."""
-        perm = {i: self.perm[first.perm[i]] for i in first.labels}
-        signs = {i: first.signs[i] * self.signs[first.perm[i]] for i in first.labels}
-        return SignedBijection(perm, signs)
-
-    @classmethod
-    def identity(cls, labels: Iterable[int]) -> "SignedBijection":
-        labels = list(labels)
-        return cls({i: i for i in labels}, {i: 1 for i in labels})
-
-
-def all_signed_bijections(labels: Sequence[int]) -> Iterator[SignedBijection]:
-    """Every signed bijection of the labels, one at a time: 2^n n! of them,
-    too many to hold at once beyond n = 6; from sorted labels, so each is
-    built sorted and valid, and they come in increasing ``key`` order.  The
-    permutation dicts and the 2^n sign dicts are built once and shared."""
-    labels = sorted(labels)
-    signs = [dict(zip(labels, sv)) for sv in product((-1, 1), repeat=len(labels))]
-    for images in permutations(labels):
-        perm = dict(zip(labels, images))
-        for sv in signs:
-            yield SignedBijection._of(perm, sv)
 
 
 STANDARD_DICTIONARY: Dict[Tuple[int, int], Tuple[int, ...]] = {

@@ -259,7 +259,7 @@ def inserted(signs: dict, seq: tuple, h: int, tail: tuple = ()) -> int:
 
 
 def reference_order(chi, head) -> tuple:
-    """Reference for ``cycles.contraction_orders``: the cyclic order of the
+    """Reference for ``chirotope.contraction_orders``: the cyclic order of the
     lines of chi/head by a comparator sort.  The other labels q, r have
     orientation sign chi(head, q, r); every line is folded into the
     half-plane that starts at the first other label q0 and sorted by

@@ -273,6 +273,7 @@ def _candidate_set(chi1, chi2, pin=None):
 CANDIDATE_SHAPES = [
     (m, n) for m in range(2, 8) for n in range(m + 1, 11) if n - m > 1 or n <= 7
 ]
+MOMENT_SHAPES = {(3, 8), (4, 9), (5, 10)}
 
 
 @pytest.mark.parametrize(
@@ -282,15 +283,26 @@ def test_candidates_match_reference_candidates(m, n):
     """Planted, independent and self pairs at the rank that is searched:
     the probe-first search yields each permutation once, and exactly the
     set that the ordered-tuple generator yields.  Rank 1 (n = m + 1, n!
-    permutations) stops at n = 7."""
+    permutations) stops at n = 7.  At the MOMENT_SHAPES, planted and self
+    pairs on the moment curve too: there every label has the same
+    signature, so no rotation is skipped and only the probe prunes."""
     rng = random.Random(400 * m + n)
     a = random_normal_system(rng, m, n)
-    planted = transformed_system(rng, a)
-    for b in (planted, random_normal_system(rng, m, n), a):
-        chi1, chi2 = _searched_pair(a.chirotope, b.chirotope)
+    pairs = [
+        (a, transformed_system(rng, a), True),
+        (a, random_normal_system(rng, m, n), False),
+        (a, a, True),
+    ]
+    if (m, n) in MOMENT_SHAPES:
+        curve = NormalSystem(m, [[t**k for k in range(m)] for t in range(1, n + 1)])
+        searched = _searched_pair(curve.chirotope, curve.chirotope)[0]
+        assert len(set(_fingerprints(searched)[3].values())) == 1  # one signature
+        pairs += [(curve, transformed_system(rng, curve), True), (curve, curve, True)]
+    for x, y, isomorphic in pairs:
+        chi1, chi2 = _searched_pair(x.chirotope, y.chirotope)
         got = _candidate_set(chi1, chi2)
         assert got == {tuple(sorted(p.items())) for p in reference_candidates(chi1, chi2)}
-        assert got or b not in (planted, a)
+        assert got or not isomorphic
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -122,6 +122,10 @@ def test_module_level_imports_have_no_cycle():
     for module in SUBMODULES:
         visit(module)
     assert graph["cli"] == {"field"}
+    # the decision core: chi, its tables and the witness type
+    assert graph["chirotope"] == {"field", "frozen"}
+    assert graph["normal_systems"] == {"chirotope", "field", "frozen"}
+    assert graph["arrangements"] == {"chirotope", "field", "frozen", "normal_systems"}
 
 
 def loaded_by(*argv: str) -> list:
@@ -137,24 +141,40 @@ def loaded_by(*argv: str) -> list:
     return loaded
 
 
+# what a decision on a normal system loads: no sphere, cycles, symbols or linalg
+DECISION_CORE = [
+    f"normsys.{m}" for m in ("chirotope", "cli", "field", "frozen", "normal_systems")
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["validate", "U1.json"], ["ns-iso", "U1.json", "U2.json"]],
     ids=["validate", "ns-iso"],
 )
 def test_normal_system_commands_load_no_arrangements(argv):
+    """Exactly the decision core, and so no arrangements or fixtures."""
     loaded = loaded_by(argv[0], *(str(INPUTS / f) for f in argv[1:]))
-    assert "normsys.normal_systems" in loaded
-    assert "normsys.arrangements" not in loaded
-    assert "normsys.fixtures" not in loaded
+    assert loaded == DECISION_CORE
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["regions", "ha_2_6.json"], ["ha-iso", "ha_2_6.json", "ha_2_6.json"]],
-    ids=["regions", "ha-iso"],
+    [
+        ["regions", "ha_2_6.json"],
+        ["ha-iso", "ha_2_6.json", "ha_2_6.json"],
+        ["signs", "ha_2_6.json"],
+        ["validate", "ha_2_6.json"],
+    ],
+    ids=["regions", "ha-iso", "signs", "validate"],
 )
 def test_arrangement_commands_load_no_fixtures(argv):
     loaded = loaded_by(argv[0], *(str(INPUTS / f) for f in argv[1:]))
-    assert "normsys.arrangements" in loaded
-    assert "normsys.fixtures" not in loaded
+    assert loaded == sorted(DECISION_CORE + ["normsys.arrangements"])
+
+
+def test_standard_symbols_load_no_fixtures():
+    """``symbols`` without a path builds the standard arrangement itself."""
+    loaded = loaded_by("symbols")
+    assert "normsys.symbols" in loaded
+    assert not {"normsys.fixtures", "normsys.normal_systems", "normsys.cycles"} & set(loaded)
