@@ -404,13 +404,17 @@ def _circuits(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], list]:
     label s of S (from 0), the cofactors of the last column of the rows
     (a_i | c_i): a circuit of the normals.  For normals scaled by k_i > 0
     (``scaled_minors``), k_s times the scaled cofactor is g_S[s] times the
-    product of the k_i over S.  Over Q(sqrt d) the pairs are divided back
-    to the minors of the rows as given (``_field_minors``).
+    product of the k_i over S, a positive factor.  Over Q(sqrt d) each
+    scaled pair (a, b) is read as a + b sqrt d, with Fraction parts, as
+    ``QuadExt.inverse`` divides them.
     """
     hom, m = concurrency_sign_map(ha).signs, ha.m
     scale, minors, d = scaled_minors(m, dict(zip(ha.labels, ha.coeffs)))
     if d is not None:
-        scale, minors = dict.fromkeys(scale, 1), _field_minors(ha, scale, minors, d)
+        minors = {
+            base: QuadExt._of(Fraction(a), Fraction(b), d)
+            for base, (a, b) in minors.items()
+        }
     walls = {}
     for sub, s in hom.items():
         v = [0] * ha.n
@@ -419,22 +423,6 @@ def _circuits(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], list]:
             v[i - 1] = (-s if j % 2 else s) * scale[i] * minors[sub[:j] + sub[j + 1 :]]
         walls[sub] = v
     return walls
-
-
-def _field_minors(ha: HyperplaneArrangement, scale, minors, d) -> dict:
-    """Each pair (a, b) of ``scaled_minors`` over Q(sqrt d) as the minor of
-    the normals as given, (a + b sqrt d) / K, K the product of the scales
-    over the base; a QuadExt where a row of the base holds one, else a
-    Fraction, as expanding those rows themselves builds it."""
-    quad = [any(isinstance(x, QuadExt) for x in r) for r in ha.coeffs]
-    out = {}
-    for base, (a, b) in minors.items():
-        k = reduce(operator.mul, map(scale.__getitem__, base), 1)
-        if any(quad[i - 1] for i in base):
-            out[base] = QuadExt._of(Fraction(a, k), Fraction(b, k), d)
-        else:
-            out[base] = Fraction(a, k)
-    return out
 
 
 def _separate(columns: Sequence[list], target: list) -> Optional[list]:

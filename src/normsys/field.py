@@ -187,6 +187,8 @@ def parse_value(text: str) -> FieldValue:
     text = text.strip()
     try:
         if "sqrt" not in text:
+            if "e" in text or "E" in text:  # Fraction builds 10**exponent whole
+                raise ValueError(f"malformed field value: {text!r}")
             return Fraction(text)
         m = _QUAD_RE.match(text)
         if not m or not m.group("bterm"):

@@ -722,6 +722,24 @@ def test_cone_move_crosses_every_facet():
     assert moved == 193
 
 
+@pytest.mark.parametrize("d", [2, 5])
+def test_quadratic_cone_move_crosses_every_facet(d):
+    # over Q(sqrt d) the walls are the scaled pairs of ``scaled_minors`` read
+    # as a + b sqrt d; rescaled rows give scales k_i > 1
+    moved = 0
+    for seed in range(2000, 2020):
+        rng = random.Random(seed + 100 * d)
+        m = rng.randint(1, 3)
+        ha = random_arrangement(rng, m, rng.randint(m + 2, 6), d)
+        scaled = rescaled(ha)
+        assert cone_facets(scaled) == cone_facets(ha)
+        for facet in cone_facets(ha):
+            assert flipped(ha, facet) == [facet]
+            assert flipped(scaled, facet) == [facet]
+            moved += 1
+    assert moved == {2: 63, 5: 56}[d]
+
+
 def test_cone_facets_at_ten_hyperplanes():
     # 17 polyhedralities, 14 of them facets
     ha = grown_arrangement(random.Random(64), 2, 10)
@@ -733,6 +751,18 @@ def test_cone_facets_at_ten_hyperplanes():
     for sub in polys - set(facets):
         with pytest.raises(ValueError, match="not a cone facet"):
             adjacent_cone_constants(ha, sub)
+
+
+def test_cone_move_refuses_a_subset_of_the_wrong_size():
+    ha = random_arrangement(random.Random(1), 2, 5)
+    for sub in [(1, 2), (1, 2, 3, 4), (1, 1, 2), (1, 2, 6)]:
+        with pytest.raises(ValueError, match="subset must be m \\+ 1 distinct"):
+            adjacent_cone_constants(ha, sub)
+
+
+def test_fewer_constants_than_hyperplanes_are_refused():
+    with pytest.raises(ValueError, match="one constant per hyperplane required"):
+        HyperplaneArrangement(2, [[1, 0], [0, 1], [1, 1]], [0, 1])
 
 
 def test_cone_move_refuses_what_cone_facets_refuses():

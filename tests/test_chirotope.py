@@ -257,25 +257,31 @@ def test_rational_minors_are_scaled_integers():
 
 
 def test_wall_circuits_match_the_quadext_expansion():
-    """``arrangements._circuits`` over Q(sqrt d) gives today's wall values
-    and types: those of the QuadExt expansion of the normals as given,
-    rows mixing Fraction and QuadExt entries included."""
+    """``arrangements._circuits`` over Q(sqrt d) reads the scaled pairs of
+    ``scaled_minors``: each wall is that of the QuadExt expansion of the
+    normals as given times the product of the row scales k_i over S, rows
+    mixing Fraction and QuadExt entries included.  Its entries on S are
+    QuadExt values with Fraction parts, so dividing them stays exact."""
     rng = random.Random(76)
     for d, m, n in [(2, 1, 4), (3, 2, 6), (5, 3, 7), (2, 4, 7)]:
         ha = random_arrangement(rng, m, n, d)
-        # the last m normals all rational: the minor of their base stays a
-        # Fraction
+        # the last m normals all rational: the minor of their base has no
+        # sqrt d part
         coeffs = [list(r) for r in ha.coeffs[:-m]]
         coeffs += [[random_scalar(rng) for _ in range(m)] for _ in range(m)]
         ha = HyperplaneArrangement(m, coeffs, ha.constants)
-        minors = reference_minors(m, dict(zip(ha.labels, ha.coeffs)))
+        vectors = dict(zip(ha.labels, ha.coeffs))
+        minors, scale = reference_minors(m, vectors), scaled_minors(m, vectors)[0]
         hom = concurrency_sign_map(ha).signs
         for sub, v in arrangements._circuits(ha).items():
-            s = hom[sub] * (-1) ** m
+            s, k = hom[sub] * (-1) ** m, prod(scale[i] for i in sub)
             want = [0] * n
             for j, i in enumerate(sub):
-                want[i - 1] = (-s if j % 2 else s) * minors[sub[:j] + sub[j + 1 :]]
-            assert [(type(x), x) for x in v] == [(type(x), x) for x in want]
+                want[i - 1] = (-s if j % 2 else s) * minors[sub[:j] + sub[j + 1 :]] * k
+            assert v == want
+            for i in sub:
+                assert type(v[i - 1]) is QuadExt and v[i - 1].d == d
+                assert type(v[i - 1].a) is type(v[i - 1].b) is Fraction
 
 
 def test_two_quadratic_fields_never_mix():

@@ -16,6 +16,7 @@ from normsys import (
     oracle_isomorphisms,
     predicted_counts,
 )
+from normsys import fixtures
 from normsys.chirotope import Chirotope
 from normsys.cli import main
 from conftest import (
@@ -68,6 +69,9 @@ def files(tmp_path):
         json.dumps({"m": 1, "vectors": [["1*sqrt(100000000000000000000000000000000000003)"]]})
     )
     paths["radicand"] = str(radicand)
+    exponent = tmp_path / "exponent.json"
+    exponent.write_text(json.dumps({"m": 1, "vectors": [["1e1000000000"]]}))
+    paths["exponent"] = str(exponent)
     for i, text in enumerate(("1/0", "1/0+1*sqrt(2)", "1/0*sqrt(2)")):
         zero = tmp_path / f"zero{i}.json"
         zero.write_text(json.dumps({"m": 2, "vectors": [[text, "1"], ["1", "2"]]}))
@@ -106,6 +110,22 @@ def test_large_radicand_is_a_parse_error(files):
     )
     assert proc.returncode == 1
     assert "parse error" in proc.stderr and "below 2**32" in proc.stderr
+
+
+def test_exponent_is_a_parse_error(files):
+    # Fraction accepts "1e1000000000" and builds the whole power of ten;
+    # the scalar grammar has no exponent, so it must fail at once
+    proc = subprocess.run(
+        [sys.executable, "-m", "normsys.cli", "validate", files["exponent"]],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"parse error: {files['exponent']}: malformed field value: '1e1000000000'\n"
+    )
 
 
 def test_unwritable_output_exit_code(files, capsys):
@@ -247,6 +267,26 @@ def test_symbols_default(capsys):
 def test_verify_paper(capsys):
     assert main(["verify-paper"]) == 0
     assert "fixtures: 6/6 verified" in capsys.readouterr().out
+
+
+def test_verify_paper_reports_a_wrong_stored_cycle(monkeypatch, capsys):
+    # one stored cycle of U1 with two labels swapped: exit 2, and the diff
+    # line under the failing fixture
+    raw = fixtures._raw
+
+    def tampered(fixture_id):
+        data = raw(fixture_id)
+        if fixture_id == "U1-cycles":
+            data["cycles"]["1,+"] = [4, 2, 6, 5, 3]
+        return data
+
+    monkeypatch.setattr(fixtures, "_raw", tampered)
+    assert main(["verify-paper"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("U1-cycles: FAIL")
+    assert lines[at + 1] == "  cycle (1,+): computed (2 4 6 5 3) != stored (2 6 5 3 4)"
+    assert lines[at + 2] == "U2-cycles: ok"
+    assert lines[-1] == "fixtures: 5/6 verified"
 
 
 def test_ha_iso_self(files, capsys):

@@ -19,6 +19,7 @@ INPUTS = Path(__file__).parents[1] / "bench" / "inputs"
 
 WRITTEN = {
     "bad.json": "{not json",
+    "list.json": "[1, 2]",
     "scalar.json": json.dumps({"m": 2, "vectors": [["1/x", "1"], ["1", "2"]]}),
     "mixed.json": json.dumps(
         {"m": 2, "vectors": [["1+1*sqrt(2)", "1"], ["1", "1*sqrt(3)"]]}
@@ -48,6 +49,8 @@ CASES = [
      "parse error: scalar.json: Invalid literal for Fraction: '1/x'\n"),
     (["validate", "mixed.json"], 1, "",
      "parse error: mixed.json: values from more than one quadratic field\n"),
+    (["validate", "list.json"], 1, "",
+     "parse error: list.json: expected a JSON object\n"),
     (["no-such"], 1, "", USAGE + (
         "normsys: error: argument command: invalid choice: 'no-such' (choose from "
         "'validate', 'cycles', 'ns-iso', 'ha-iso', 'regions', 'signs', 'symbols', "

@@ -40,6 +40,20 @@ def test_cycle_invariants_refuse_a_dependent_subset():
         all_cycle_invariants(arr)
 
 
+def test_cycles_refuse_shapes_they_are_not_defined_on():
+    units = [[int(i == j) for j in range(4)] for i in range(4)]
+    arr = AntipodalArrangement.from_vectors(3, units + [[1, 1, 1, 1]])
+    with pytest.raises(ValueError, match="line cycles are defined on the 2-sphere"):
+        line_cycle(arr, 1)
+    with pytest.raises(ValueError, match="need at least 5 antipodal pairs"):
+        all_cycle_invariants(AntipodalArrangement.from_vectors(3, units))
+    three = AntipodalArrangement.from_vectors(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="need at least four antipodal pairs"):
+        line_cycle(three, 1)
+    with pytest.raises(KeyError, match="label 5 not in arrangement"):
+        line_cycle(standard_arrangement(), 5)
+
+
 def test_cycle_inverse_and_conjugate():
     c = LineCycle([1, 2, 3, 4])
     assert c.inverse() == LineCycle([4, 3, 2, 1])

@@ -114,6 +114,14 @@ def test_zero_denominator_is_a_parse_error():
             parse_value(text)
 
 
+def test_malformed_values_are_refused():
+    # a sqrt term needs its coefficient; the grammar has no exponent, which
+    # Fraction would expand to the whole power of ten
+    for text in ("1+sqrt(2)", "sqrt(2)", "1e5", "2E-3", "1.5e2"):
+        with pytest.raises(ValueError, match="malformed field value"):
+            parse_value(text)
+
+
 def test_parse_format_roundtrip():
     for text in ("3/4", "-2", "0", "1/2+3/5*sqrt(2)", "-1+1*sqrt(7)"):
         v = parse_value(text)

@@ -555,6 +555,20 @@ def test_mismatched_shapes_rejected():
         find_isomorphisms(a, b)
 
 
+def test_signed_bijection_refuses_malformed_maps():
+    with pytest.raises(ValueError, match="sign vector must share labels"):
+        SignedBijection({1: 2, 2: 1}, {1: 1, 3: 1})
+    with pytest.raises(ValueError, match="not a permutation of the label set"):
+        SignedBijection({1: 2, 2: 2}, {1: 1, 2: 1})
+    with pytest.raises(ValueError, match=r"signs must be \+-1"):
+        SignedBijection({1: 2, 2: 1}, {1: 1, 2: 0})
+
+
+def test_vector_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match="vector 2 has length 1, expected 2"):
+        NormalSystem(2, [[1, 0], [1], [0, 1]])
+
+
 def test_oracle_rejects_invalid_input_like_the_decider():
     # two parallel vectors, built without the check: the exhaustive oracle
     # and the witness test refuse it as find_isomorphisms does, rather

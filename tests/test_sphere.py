@@ -35,6 +35,12 @@ def test_zero_vector_rejected():
         SpherePoint([frac(0), frac(0)])
 
 
+def test_point_of_the_wrong_dimension_is_refused():
+    points = {1: SpherePoint([1, 0, 0]), 2: SpherePoint([0, 1])}
+    with pytest.raises(ArrangementError, match="point 2 lives on a 1-sphere"):
+        AntipodalArrangement(2, points)
+
+
 def test_positive_combination_signs_stable():
     basis = [
         SpherePoint([frac(1), frac(0), frac(0)]),
