@@ -19,7 +19,7 @@ values, give the wall circuits of ``arrangements.cone_facets``.
 
 What is read off χ's signs alone (the dual, the first zero base, the
 contraction orders, the search's neighbour tables, fingerprints and
-label signatures, its base columns and signs by label mask, a lift's
+label signatures, its packed base masks and signs by label mask, a lift's
 vertex-side table, line submasks and deletion χ_hom) is built on first
 use and kept, read-only, by ``Chirotope._table``; nothing that depends on
 a pair, a pin, a coefficient value or a result is kept.

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from functools import reduce
+from itertools import chain, combinations, compress, permutations, starmap
 from math import comb, factorial
-from operator import add, gt, itemgetter, ne, xor
+from operator import and_, gt, itemgetter, ne, xor
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .chirotope import (
@@ -36,6 +37,7 @@ if TYPE_CHECKING:
 # for the exhaustive oracle, which tries all n! permutations.
 MAX_WITNESSES = 2**7 * factorial(7)
 ORACLE_MAX_N = 7
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a flag byte to its base-2 digit
 
 
 def _enumerable(count: int) -> None:
@@ -307,7 +309,7 @@ def find_isomorphisms(ns1: NormalSystem, ns2: NormalSystem) -> List[SignedBiject
     rank r: candidates align the contraction orders by (r-2)-subsets (all
     permutations when r = 1), the signs are solved by single exchanges,
     and a candidate is kept iff it pulls chi2 back to +-chi1 on every base
-    (``_accepted``, one column-wise pass per candidate).  Validity
+    (``_accepted``, one packed pass per candidate).  Validity
     comes from chi.  Returns the empty list exactly when the systems are
     not isomorphic; raises ValueError when the shape fixes more than
     MAX_WITNESSES witnesses.
@@ -333,11 +335,6 @@ def _witnesses(chi1: Chirotope, chi2: Chirotope, pin=None) -> List[SignedBijecti
     return _accepted(chi1, chi2, _candidates(chi1, chi2, pin))
 
 
-def _columns(chi: Chirotope):
-    """chi's sorted bases as r label columns, and its signs; kept with chi."""
-    return list(zip(*chi.signs)), tuple(chi.signs.values())
-
-
 def _by_mask(chi: Chirotope):
     """chi's signs keyed by the label mask sum(1 << q) of each base, in the
     sorted order ``combinations`` yields; kept with chi."""
@@ -345,54 +342,66 @@ def _by_mask(chi: Chirotope):
     return dict(zip(masks, chi.signs.values()))
 
 
+def _pack(flags) -> int:
+    """The flags as one integer, the first flag its highest bit; base-2
+    parsing is linear and exempt from the int digit limit."""
+    return int(bytes(flags).translate(_DIGITS), 2)
+
+
+def _packed(chi: Chirotope):
+    """chi's signs, in sorted base order, and the packed masks
+    (``_pack``, bit C - 1 - k for base k of C) of the bases that hold each
+    label, in label order, and each label pair, in ``combinations`` order
+    (none at rank 1); kept with chi."""
+    bases = list(chi.signs)
+    singles = [_pack(i in base for base in bases) for i in chi.labels]
+    pairs = list(starmap(and_, combinations(singles, 2))) if chi.rank > 1 else []
+    return tuple(chi.signs.values()), singles, pairs
+
+
 def _accepted(chi1: Chirotope, chi2: Chirotope, candidates) -> List[SignedBijection]:
     """The witnesses whose permutation is a candidate (distinct), sorted;
     chi1, chi2 uniform, of rank r on n > r labels.
 
-    One pass per candidate pi over chi1's sorted bases, read as r label
-    columns (``_columns``), each label i read as its image's bit
-    1 << pi(i): x(B) = [chi2(pi B) != chi1(B)] is chi2 on each image
-    base's mask, the columns' sum (``_by_mask``), flipped by one gt pass
-    per column pair, as the bits compare as the labels do.  A witness
-    pulls chi2 back to eps * chi1, so with B' the first base B0 with b
-    replaced by u, mu(u) / mu(b) = -1 iff x(B') != x(B0): exchanges at b0
-    give mu outside B0 (B' = B0[1:] + (u,), u above B0), those with u1,
-    the first label outside B0, the rest, and mu(b0) = +1.  (pi, +-mu)
-    are witnesses iff x(B) xor [mu(B) < 0] is the same on every base.
+    One packed pass per candidate pi over chi1's sorted bases
+    (``_packed``): x, bit C - 1 - k for base B_k, is [chi2(pi B) !=
+    chi1(B)], chi2 read sorted on each image base's mask sum(1 << pi(i))
+    (``_by_mask``), then XORed with the mask of the bases that hold each
+    label pair pi inverts, the sort parity of pi on every base at once.
+    A witness pulls chi2 back to eps * chi1, so with B' the first base B0
+    with b replaced by u, mu(u) / mu(b) = -1 iff x(B') != x(B0):
+    exchanges at b0 give mu outside B0 (B' = B0[1:] + (u,), u above B0),
+    those with u1, the first label outside B0, the rest, and mu(b0) = +1.
+    XORing in the mask of each label with mu = -1 leaves x(B) xor
+    [mu(B) < 0], and (pi, +-mu) are witnesses iff that is 0 or all ones.
     """
     candidates = iter(candidates)
     perm = next(candidates, None)
     if perm is None:
         return []
     labels, r = chi1.labels, chi1.rank
-    (cols, s1), by_mask = chi1._table(_columns), chi2._table(_by_mask)
-    n = len(labels)
-    pairs = list(combinations(range(r), 2))
+    (s1, singles, pairs), by_mask = chi1._table(_packed), chi2._table(_by_mask)
+    n, top, full = len(labels), len(s1) - 1, (1 << len(s1)) - 1
     base, outside = labels[:r], labels[r:]
     # B0[1:] + (u,) follows the C(n-1, r-1) bases that hold b0, u by u;
     # B0 without b_t, plus u1, the C(n-1-t, r-1-t) that hold B0[:t+1]
     lo = comb(n - 1, r - 1)
-    at = [(base[t], comb(n - 1 - t, r - 1 - t)) for t in range(1, r)]
+    at = [(base[t], top - comb(n - 1 - t, r - 1 - t)) for t in range(1, r)]
     found = []
     for perm in chain((perm,), candidates):
-        bit = {i: 1 << q for i, q in perm.items()}
-        images = [list(map(bit.__getitem__, col)) for col in cols]
-        masks = images[0]
-        for col in images[1:]:
-            masks = map(add, masks, col)
-        x = map(ne, s1, map(by_mask.__getitem__, masks))
-        for i, j in pairs:
-            x = map(xor, x, map(gt, images[i], images[j]))
-        x = list(x)
-        x0 = x[0]
-        neg = {u: x0 ^ xu for u, xu in zip(outside, x[lo:])}  # mu(u) < 0
-        for b, k in at:
-            neg[b] = neg[outside[0]] ^ x0 ^ x[k]
-        neg[base[0]] = False
-        for col in cols:
-            x = map(xor, x, map(neg.__getitem__, col))
-        eps = next(x)
-        if (not eps) not in x:
+        images = list(map(perm.__getitem__, labels))
+        bits = [1 << q for q in images]
+        masks = bits if r == 1 else map(sum, combinations(bits, r))
+        x = _pack(map(ne, s1, map(by_mask.__getitem__, masks)))
+        if pairs:
+            x = reduce(xor, compress(pairs, starmap(gt, combinations(images, 2))), x)
+        x0 = x >> top
+        neg = {u: x0 ^ (x >> top - k & 1) for k, u in enumerate(outside, lo)}  # mu(u) < 0
+        for b, shift in at:
+            neg[b] = neg[outside[0]] ^ x0 ^ (x >> shift & 1)
+        neg[base[0]] = 0
+        x = reduce(xor, compress(singles, map(neg.__getitem__, labels)), x)
+        if x == 0 or x == full:
             # negating mu scales the pullback by (-1)^r: w, -w pass together
             w = SignedBijection._of(
                 {i: perm[i] for i in labels}, {i: -1 if neg[i] else 1 for i in labels}

@@ -423,6 +423,64 @@ def test_accepted_matches_reference_solve(r, n, d):
     assert bool(rejected) == (r > 1 and n > r + 1)
 
 
+def _near_misses(rng, labels, perms, count):
+    """count seeded random permutations of the labels, and each of perms
+    with the images of two random labels swapped."""
+    found = []
+    for _ in range(count):
+        images = list(labels)
+        rng.shuffle(images)
+        found.append(dict(zip(labels, images)))
+    for perm in perms:
+        a, b = rng.sample(labels, 2)
+        found.append({**perm, a: perm[b], b: perm[a]})
+    return found
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+def test_accepted_matches_reference_at_high_rank(d):
+    """``_accepted`` keeps what ``reference_accepted`` keeps, in the same
+    order, where a base holds up to 28 label pairs: the candidates of
+    planted (4,8), (5,10), (6,12) and (8,16) pairs, and of planted
+    arrangements whose lifts (e pinned) have rank 4 and 5, then seeded
+    random permutations and each candidate with two images swapped."""
+    rng = random.Random(2900 + (d or 0))
+    pairs = []
+    for m, n in [(4, 8), (5, 10), (6, 12), (8, 16)]:
+        a = random_normal_system(rng, m, n, d)
+        pairs.append((a.chirotope, transformed_system(rng, a, d).chirotope, None))
+    for m, n in [(3, 7), (4, 9)]:
+        ha = random_arrangement(rng, m, n, d)
+        pairs.append((ha.lift.chirotope, planted_arrangement(rng, ha, d).lift.chirotope, n + 1))
+    for chi1, chi2, pin in pairs:
+        candidates = list(_candidates(chi1, chi2, pin))
+        got = _accepted(chi1, chi2, candidates)
+        assert got and got == reference_accepted(chi1, chi2, candidates)
+        perms = _near_misses(rng, list(chi1.labels), candidates, 3)
+        assert _accepted(chi1, chi2, perms) == reference_accepted(chi1, chi2, perms)
+
+
+def test_accepted_reads_one_bit_per_base():
+    """On a uniform rank-3 table on 6 labels (20 bases), the identity is
+    a witness of chi with itself, not after any single base is flipped,
+    from the first to the last (bit 19 down to bit 0 of the packed
+    pass), and again after every sign is flipped."""
+    chi = random_normal_system(random.Random(29), 3, 6).chirotope
+    ident = SignedBijection.identity(chi.labels)
+    both = [ident.negate(), ident]
+    assert _accepted(chi, chi, [ident.perm]) == both
+    bases = list(chi.signs)
+    assert len(bases) == 20
+    for k in range(20):
+        signs = dict(chi.signs)
+        signs[bases[k]] = -signs[bases[k]]
+        flipped = Chirotope._of(3, chi.labels, signs)
+        assert _accepted(chi, flipped, [ident.perm]) == []
+        assert reference_accepted(chi, flipped, [ident.perm]) == []
+    negated = Chirotope._of(3, chi.labels, {b: -s for b, s in chi.signs.items()})
+    assert _accepted(chi, negated, [ident.perm]) == both
+
+
 @pytest.mark.parametrize("seed", [0, 3, 4, 16, 17])
 def test_equal_fingerprints_agree_with_the_oracle(seed):
     """Random (3,7) pairs whose fingerprint multisets are equal, so the
