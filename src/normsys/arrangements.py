@@ -20,7 +20,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chirotope import Chirotope, SignedBijection, scaled_minors
-from .field import FieldValue, QuadExt, format_value, parse_rows
+from .field import FieldValue, QuadExt, exact, format_row, parse_rows
 from .frozen import Frozen
 from .normal_systems import NormalSystem, _witnesses
 
@@ -45,10 +45,7 @@ class HyperplaneArrangement(Frozen):
         constants: Sequence[FieldValue],
         check: bool = True,
     ):
-        rows = tuple(
-            tuple(Fraction(x) if isinstance(x, int) else x for x in r) for r in coeffs
-        )
-        cons = tuple(Fraction(x) if isinstance(x, int) else x for x in constants)
+        rows, cons = tuple(map(exact, coeffs)), exact(constants)
         if len(rows) != len(cons):
             raise ValueError("one constant per hyperplane required")
         for i, r in enumerate(rows):
@@ -82,8 +79,8 @@ class HyperplaneArrangement(Frozen):
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
-            "coeffs": [[format_value(x) for x in r] for r in self.coeffs],
-            "constants": [format_value(c) for c in self.constants],
+            "coeffs": [format_row(r) for r in self.coeffs],
+            "constants": format_row(self.constants),
         }
 
     @classmethod
@@ -131,9 +128,6 @@ class Region(Frozen):
 
     def __init__(self, signs: Sequence[int], bounded: bool):
         self._set(tuple(signs), bounded)
-
-    def __lt__(self, other):
-        return (self.signs, self.bounded) < (other.signs, other.bounded)
 
     def __repr__(self):
         return f"Region({list(self.signs)}, bounded={self.bounded})"
@@ -268,12 +262,17 @@ def is_simplex_polyhedrality(ha: HyperplaneArrangement, subset: Sequence[int]) -
     return _bounds_region(_sides(ha)[0], subset, ha.n)
 
 
+def _split(sides: list) -> int:
+    """The bits on which the side masks disagree, their AND XOR their OR;
+    0 with no masks."""
+    return reduce(operator.and_, sides) ^ reduce(operator.or_, sides) if sides else 0
+
+
 def _bounds_region(plus: dict, subset: Tuple[int, ...], n: int) -> bool:
-    """True iff the AND and the OR of the side masks of the sorted
-    subset's vertices agree off the subset."""
+    """True iff the side masks of the sorted subset's vertices agree off
+    the subset."""
     sides = [plus[subset[:j] + subset[j + 1 :]] for j in range(len(subset))]
-    split = reduce(operator.and_, sides) ^ reduce(operator.or_, sides)
-    return not split & ~sum(1 << (n - h) for h in subset)
+    return not _split(sides) & ~sum(1 << (n - h) for h in subset)
 
 
 def induced_sign_map(ha2: HyperplaneArrangement, w: SignedBijection) -> Chirotope:
@@ -472,6 +471,12 @@ def _separate(columns: Sequence[list], target: list) -> Optional[list]:
     return None
 
 
+def _certificate(walls: dict, others, sub: Tuple[int, ...], m: int) -> Optional[list]:
+    """``_separate`` of wall sub against the other walls of others, on the
+    coordinates past the first m (the LP of ``cone_facets``)."""
+    return _separate([walls[t][m:] for t in others if t != sub], walls[sub][m:])
+
+
 def cone_facets(ha: HyperplaneArrangement) -> List[Tuple[int, ...]]:
     """(m+1)-subsets whose concurrency wall is a facet of the open cone of
     constants vectors with this concurrency sign map, by exact LP.
@@ -490,13 +495,8 @@ def cone_facets(ha: HyperplaneArrangement) -> List[Tuple[int, ...]]:
     extreme rays of the cone of all v_T, so the other polyhedralities
     decide S as all walls would.
     """
-    walls, m, polys = _circuits(ha), ha.m, polyhedralities(ha)
-    return [
-        sub
-        for sub in polys
-        if _separate([walls[t][m:] for t in polys if t != sub], walls[sub][m:])
-        is not None
-    ]
+    walls, polys = _circuits(ha), polyhedralities(ha)
+    return [sub for sub in polys if _certificate(walls, polys, sub, ha.m) is not None]
 
 
 def adjacent_cone_constants(
@@ -516,8 +516,7 @@ def adjacent_cone_constants(
     _sides(ha)  # raises on input not in general position
     if facet not in walls:
         raise ValueError("subset must be m + 1 distinct hyperplane labels")
-    v = walls[facet]
-    z = _separate([w[m:] for t, w in walls.items() if t != facet], v[m:])
+    v, z = walls[facet], _certificate(walls, walls, facet, m)
     if z is None:
         raise ValueError("subset is not a cone facet")
     z = [0] * m + z
@@ -540,8 +539,7 @@ def is_infinity_arrangement(
             return order
         if built in dead:
             return None
-        sides = [plus[sub] for sub in combinations(sorted(built), ha.m)]
-        split = reduce(operator.and_, sides) ^ reduce(operator.or_, sides) if sides else 0
+        split = _split([plus[sub] for sub in combinations(sorted(built), ha.m)])
         for h in ha.labels:
             if h in built or split >> (n - h) & 1:
                 continue

@@ -198,10 +198,9 @@ class Chirotope(Frozen):
     def pullback(self, w, base: Sequence[int]) -> int:
         """Sign of the determinant with rows mu(i) * v_pi(i), i in base in
         the given order, for a signed bijection w = (pi, mu) into these
-        labels: one sort and one inversion count of the images."""
-        seq = list(map(w.perm.__getitem__, base))
-        s = reduce(mul, map(w.signs.__getitem__, base), self.signs[tuple(sorted(seq))])
-        return -s if _odd(seq) else s
+        labels: chi of the images times their signs."""
+        s = self(list(map(w.perm.__getitem__, base)))
+        return reduce(mul, map(w.signs.__getitem__, base), s)
 
 
 def contraction_orders(chi: Chirotope) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
@@ -290,11 +289,8 @@ class SignedBijection(Frozen):
         # both dicts are kept in sorted label order
         return tuple(self.perm.values()), tuple(self.signs.values())
 
-    def __hash__(self):
-        return hash(self.key())
-
-    def __lt__(self, other):
-        return self.key() < other.key()
+    # equality, hash and order read the key: the images fix the label set
+    _values = key
 
     def __repr__(self):
         return f"SignedBijection({self.perm}, {self.signs})"
@@ -303,7 +299,9 @@ class SignedBijection(Frozen):
         return SignedBijection._of(self.perm, {i: -s for i, s in self.signs.items()})
 
     def compose(self, first: "SignedBijection") -> "SignedBijection":
-        """self after first."""
+        """self after first, whose images must be self's labels."""
+        if first.perm.keys() != self.perm.keys():
+            raise ValueError("composed signed bijections must share labels")
         perm = {i: self.perm[first.perm[i]] for i in first.labels}
         signs = {i: first.signs[i] * self.signs[first.perm[i]] for i in first.labels}
         return SignedBijection(perm, signs)

@@ -8,6 +8,10 @@ time; quadratic-extension values with different radicands never mix.
 The sign of a + b*sqrt(d) is decided exactly from the signs of a and b
 and, when they differ, a comparison of a^2 with b^2 d, so no numeric
 square roots are ever taken.
+
+A stored row of values (a vector, a point, a hyperplane's coefficients)
+is a tuple built by ``exact``, ints made Fractions; ``format_row`` writes
+one as text and ``parse_rows`` reads the rows of a JSON object back.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ class QuadExt(Frozen):
         self._set(Fraction(a), Fraction(b), d)
 
     def _coerce(self, other) -> "QuadExt":
+        """other as a value of this field; the arithmetic reads its operands
+        through this one rule, and raises TypeError on a foreign one."""
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 raise FieldTagMismatch(
@@ -55,12 +61,10 @@ class QuadExt(Frozen):
             return other
         if isinstance(other, (int, Fraction)):
             return QuadExt._of(Fraction(other), Fraction(0), self.d)
-        return NotImplemented
+        raise TypeError(f"not a field value: {other!r}")
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
         return QuadExt._of(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
@@ -70,20 +74,13 @@ class QuadExt(Frozen):
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
         return QuadExt._of(self.a - o.a, self.b - o.b, self.d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
         return QuadExt._of(
             self.a * o.a + self.b * o.b * self.d,
             self.a * o.b + self.b * o.a,
@@ -101,16 +98,10 @@ class QuadExt(Frozen):
         return QuadExt._of(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o * self.inverse()
+        return self._coerce(other) * self.inverse()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -206,6 +197,17 @@ def format_value(x: FieldValue) -> str:
         b = str(x.b) if x.b < 0 else f"+{x.b}"
         return f"{x.a}{b}*sqrt({x.d})"
     return str(Fraction(x))
+
+
+def format_row(values) -> list:
+    """The canonical text of each value, as ``parse_rows`` reads it back."""
+    return [format_value(x) for x in values]
+
+
+def exact(values) -> tuple:
+    """The values as a tuple, each int made a Fraction; the value types
+    store their rows this way."""
+    return tuple([Fraction(x) if isinstance(x, int) else x for x in values])
 
 
 def _scalars(values) -> list:

@@ -101,13 +101,8 @@ def load_fixture(fixture_id: str) -> PaperFixture:
             for k, v in data["cycles"].items()
         }
         return PaperFixture(fixture_id, "cycles", cycles)
-    if fixture_id == "S4-symbols":
-        return PaperFixture(
-            fixture_id,
-            "symbols",
-            frozenset(Symbol.parse(t) for t in data["symbols"]),
-        )
-    raise AssertionError("unreachable")
+    symbols = frozenset(Symbol.parse(t) for t in data["symbols"])  # "S4-symbols"
+    return PaperFixture(fixture_id, "symbols", symbols)
 
 
 def _base_arrangement(fixture_id: str) -> AntipodalArrangement:

@@ -7,9 +7,12 @@ class Frozen:
     """Slots are set once, at construction, and never assigned again.
 
     Two instances are equal iff they have the same type and equal slot
-    values, and the hash is that of the slot values; an instance that
-    holds a dict or a list is therefore unhashable.  Slots named with a
-    leading underscore hold derived tables and take no part in either.
+    values, the hash is that of the slot values, and two instances of one
+    type order as their slot values do, slot by slot in declaration order;
+    an instance that holds a dict or a list is therefore unhashable, and
+    one that holds a dict unordered.  Slots named with a leading
+    underscore hold derived tables and take no part in any of these.  A
+    type whose slots do not compare as its values should sets ``_values``.
     """
 
     __slots__ = ()
@@ -40,3 +43,8 @@ class Frozen:
 
     def __hash__(self):
         return hash(self._values())
+
+    def __lt__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() < other._values()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .field import FieldValue, sign
+from .field import FieldValue, exact, sign
 from .frozen import Frozen
 
 
@@ -19,9 +19,7 @@ class Matrix(Frozen):
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence[FieldValue]]):
-        rows = tuple(
-            tuple(Fraction(x) if isinstance(x, int) else x for x in r) for r in rows
-        )
+        rows = tuple(map(exact, rows))
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):

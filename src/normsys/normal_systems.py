@@ -16,7 +16,6 @@ the whole search runs on the duals, of rank n - m, when that rank is lower.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, compress, permutations, starmap
 from math import comb, factorial
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 from .chirotope import (
     Chirotope, SignedBijection, all_signed_bijections, contraction_orders, pullback_sign
 )
-from .field import FieldValue, format_value, parse_rows
+from .field import FieldValue, exact, format_row, parse_rows
 from .frozen import Frozen
 
 if TYPE_CHECKING:
@@ -57,17 +56,15 @@ class NormalSystem(Frozen):
     __slots__ = ("m", "vectors", "chirotope")
 
     def __init__(self, m: int, vectors: Sequence[Sequence[FieldValue]], check: bool = True):
-        vecs = tuple(
-            tuple(Fraction(x) if isinstance(x, int) else x for x in v) for v in vectors
-        )
+        vecs = tuple(map(exact, vectors))
         if m < 1:
             raise ValueError("ambient dimension must be >= 1")
         for i, v in enumerate(vecs):
             if len(v) != m:
                 raise ValueError(f"vector {i + 1} has length {len(v)}, expected {m}")
         self._set(m, vecs, Chirotope(m, dict(enumerate(vecs, 1))))
-        if check:
-            self._checked()
+        if check and not self.is_valid():
+            raise ValueError("not a normal system: dependent small subset")
 
     @property
     def n(self) -> int:
@@ -88,11 +85,6 @@ class NormalSystem(Frozen):
             return rank(Matrix(self.vectors)) == self.n
         return self.chirotope.zero() is None
 
-    def _checked(self) -> "NormalSystem":
-        if not self.is_valid():
-            raise ValueError("not a normal system: dependent small subset")
-        return self
-
     def to_arrangement(self) -> AntipodalArrangement:
         """The antipodal arrangement view on the (m-1)-sphere."""
         from .sphere import AntipodalArrangement, SpherePoint
@@ -109,10 +101,7 @@ class NormalSystem(Frozen):
         return cls._of(arr.dim_k + 1, reps, arr.chirotope)
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "vectors": [[format_value(x) for x in v] for v in self.vectors],
-        }
+        return {"m": self.m, "vectors": [format_row(v) for v in self.vectors]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NormalSystem":

@@ -8,13 +8,12 @@ independent.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import linalg
 from .chirotope import Chirotope
-from .field import FieldValue, format_value, parse_rows, sign
+from .field import FieldValue, exact, format_row, parse_rows, sign
 from .frozen import Frozen
 from .linalg import Matrix
 
@@ -29,7 +28,7 @@ class SpherePoint(Frozen):
     __slots__ = ("rep",)
 
     def __init__(self, vector: Sequence[FieldValue]):
-        v = tuple(Fraction(x) if isinstance(x, int) else x for x in vector)
+        v = exact(vector)
         lead = next((x for x in v if sign(x) != 0), None)
         if lead is None:
             raise ValueError("zero vector has no direction")
@@ -49,7 +48,7 @@ class SpherePoint(Frozen):
         return self.antipode()
 
     def __repr__(self):
-        return f"SpherePoint({[format_value(x) for x in self.rep]})"
+        return f"SpherePoint({format_row(self.rep)})"
 
 
 class PositiveCombination(Frozen):
@@ -148,7 +147,13 @@ class AntipodalArrangement(Frozen):
         return bad is None, bad
 
     def relabel(self, mapping: Dict[int, int]) -> "AntipodalArrangement":
+        """The same points under new labels; mapping must send every label
+        to a distinct one."""
+        if not mapping.keys() >= self.points.keys():
+            raise ValueError("relabeling must map every label")
         pts = {mapping[i]: p for i, p in self.points.items()}
+        if len(pts) != self.n:
+            raise ValueError("relabeling must not merge labels")
         return AntipodalArrangement(self.dim_k, pts, check=False)
 
     def flip_all(self) -> "AntipodalArrangement":
@@ -159,12 +164,8 @@ class AntipodalArrangement(Frozen):
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.dim_k,
-            "points": [
-                [format_value(x) for x in self.points[i].rep] for i in self.labels
-            ],
-        }
+        points = [format_row(p.rep) for p in self.points.values()]
+        return {"k": self.dim_k, "points": points}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AntipodalArrangement":
@@ -219,8 +220,5 @@ def project_arrangement(
     frame = Matrix(oriented_complement_frame(span))
     kept = {i: p for i, p in arr.points.items() if i not in along}
     projected = {i: SpherePoint(frame.apply(p.rep)) for i, p in kept.items()}
-    out = AntipodalArrangement(arr.dim_k - r, projected, check=False)
-    ok, bad = out.general_position()
-    # General position of the source guarantees it for the projection.
-    assert ok, f"projection lost general position at {bad}"
-    return out
+    # general position of the source guarantees it for the projection
+    return AntipodalArrangement(arr.dim_k - r, projected)

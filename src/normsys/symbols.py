@@ -30,9 +30,6 @@ class Symbol(Frozen):
             raise ValueError(f"symbol needs four distinct lines: {head}->{triple}")
         self._set(head, triple)
 
-    def __lt__(self, other):
-        return (self.head, self.triple) < (other.head, other.triple)
-
     def __repr__(self):
         return f"Symbol({self.head}, {self.triple})"
 

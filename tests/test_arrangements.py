@@ -31,7 +31,9 @@ from normsys import (
 )
 from normsys import arrangements, fm
 from normsys.chirotope import Chirotope, pullback_sign
-from normsys.arrangements import _line_masks, _side_table, _sides, isomorphic_by_definition
+from normsys.arrangements import (
+    _line_masks, _line_vertex_order, _side_table, _sides, isomorphic_by_definition
+)
 from conftest import (
     affine_image,
     inserted,
@@ -826,3 +828,10 @@ def test_shape_mismatch_rejected():
     phi = SignedBijection.identity(a.labels)
     with pytest.raises(ValueError, match="arrangements must share n and m"):
         isomorphic_by_definition(a, b, phi)
+    with pytest.raises(ValueError, match="need m - 1 hyperplanes to cut out a line"):
+        _line_vertex_order(a, [1, 2])
+    parallel = HyperplaneArrangement(
+        3, [[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 0, 0], check=False
+    )
+    with pytest.raises(ValueError, match="subset does not cut out a line"):
+        _line_vertex_order(parallel, [1, 2])

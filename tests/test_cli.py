@@ -288,6 +288,28 @@ def test_verify_paper_reports_a_wrong_stored_cycle(monkeypatch, capsys):
     assert lines[at + 2] == "U2-cycles: ok"
     assert lines[-1] == "fixtures: 5/6 verified"
 
+    # two stored symbols and one equation's vector changed: each diff is
+    # listed, the symbols sorted
+    def tampered(fixture_id):
+        data = raw(fixture_id)
+        if fixture_id == "S4-symbols":
+            data["symbols"][0] = "4->(3,1,2)"
+            data["symbols"][5] = "-1->(2,4,3)"
+        if fixture_id == "U2-equations":
+            data["equations"][2]["vector"][0] = "7"
+        return data
+
+    monkeypatch.setattr(fixtures, "_raw", tampered)
+    assert main(["verify-paper"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["U2-equations: FAIL", "  equation 3 does not hold"]
+    assert lines[-3:] == [
+        "S4-symbols: FAIL",
+        "  symbols: missing [Symbol(-1, (2, 4, 3)), Symbol(4, (3, 1, 2))], "
+        "extra [Symbol(1, (-3, -2, 4)), Symbol(4, (2, 1, 3))]",
+        "fixtures: 4/6 verified",
+    ]
+
 
 def test_ha_iso_self(files, capsys):
     assert main(["ha-iso", files["ha"], files["ha"]]) == 0

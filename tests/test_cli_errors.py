@@ -29,6 +29,8 @@ WRITTEN = {
     "ns8.json": json.dumps(
         {"m": 2, "vectors": [["0", "1"]] + [["1", str(i)] for i in range(7)]}
     ),
+    # a valid system in the plane: points on a circle, which has no cycles
+    "plane.json": json.dumps({"m": 2, "vectors": [["1", "0"], ["0", "1"], ["1", "1"]]}),
 }
 
 USAGE = (
@@ -79,6 +81,8 @@ CASES = [
      "invalid object: ha_2_6.json: expected a normal system or sphere arrangement\n"),
     (["symbols", "U1.json"], 2, "",
      "invalid object: U1.json: need a four-pair 2-sphere arrangement\n"),
+    (["cycles", "plane.json"], 2, "",
+     "error: cycle invariants need sphere dimension >= 2\n"),
     (["--oracle", "ns-iso", "ns8.json", "ns8.json"], 2, "",
      "error: oracle limited to n <= 7\n"),
     (["--oracle", "ha-iso", "ha_2_6.json", "ha_2_6.json"], 2, "",

@@ -52,6 +52,9 @@ def test_cycles_refuse_shapes_they_are_not_defined_on():
         line_cycle(three, 1)
     with pytest.raises(KeyError, match="label 5 not in arrangement"):
         line_cycle(standard_arrangement(), 5)
+    plane = AntipodalArrangement.from_vectors(1, [[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(ValueError, match="cycle invariants need sphere dimension >= 2"):
+        all_cycle_invariants(plane)
 
 
 def test_cycle_inverse_and_conjugate():

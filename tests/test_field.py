@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -58,6 +59,17 @@ def test_square_free_requirement():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         quad(1, 1) / quad(0, 0)
+
+
+def test_foreign_operands_are_refused():
+    # the arithmetic reads every operand through one rule; == still falls
+    # back, and answers False
+    x = quad(1, 1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((x, 1.5), (1.5, x)):
+            with pytest.raises(TypeError, match="not a field value: 1.5"):
+                op(a, b)
+    assert x != 1.5
 
 
 def test_inverse_roundtrip():

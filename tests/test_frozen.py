@@ -108,6 +108,10 @@ def test_equal_data_gives_equal_values(name):
     else:
         assert hash(a) == hash(b)
         assert len({a, b, c}) == 2
+    if name in ("Region", "SignedBijection", "Symbol"):  # sorted in outputs
+        assert (a < c) != (c < a) and not a < b
+        with pytest.raises(TypeError):
+            a < object()
 
 
 def test_rational_quadext_still_equals_fraction():

@@ -611,6 +611,14 @@ def test_mismatched_shapes_rejected():
     b = NormalSystem(2, [[frac(1), frac(0)], [frac(0), frac(1)], [frac(1), frac(1)]])
     with pytest.raises(ValueError):
         find_isomorphisms(a, b)
+    c = NormalSystem(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        find_isomorphisms(b, c)
+    with pytest.raises(ValueError, match="witness labels do not match the systems"):
+        is_convex_positive_bijection(SignedBijection.identity(a.labels), b, b)
+    shifted = b.to_arrangement().relabel({1: 2, 2: 3, 3: 4})
+    with pytest.raises(ValueError, match=r"arrangement labels must be 1\.\.n"):
+        NormalSystem.from_arrangement(shifted)
 
 
 def test_signed_bijection_refuses_malformed_maps():
@@ -620,6 +628,9 @@ def test_signed_bijection_refuses_malformed_maps():
         SignedBijection({1: 2, 2: 2}, {1: 1, 2: 1})
     with pytest.raises(ValueError, match=r"signs must be \+-1"):
         SignedBijection({1: 2, 2: 1}, {1: 1, 2: 0})
+    on12, on23 = SignedBijection.identity((1, 2)), SignedBijection.identity((2, 3))
+    with pytest.raises(ValueError, match="composed signed bijections must share labels"):
+        on12.compose(on23)
 
 
 def test_vector_of_the_wrong_length_is_refused():

@@ -39,6 +39,26 @@ def test_point_of_the_wrong_dimension_is_refused():
     points = {1: SpherePoint([1, 0, 0]), 2: SpherePoint([0, 1])}
     with pytest.raises(ArrangementError, match="point 2 lives on a 1-sphere"):
         AntipodalArrangement(2, points)
+    basis = [SpherePoint([1, 0, 0]), SpherePoint([0, 1, 0])]
+    with pytest.raises(ValueError, match="basis size must equal ambient dimension"):
+        positive_combination(SpherePoint([1, 1, 0]), basis)
+
+
+def test_relabel_refuses_a_map_that_loses_points():
+    arr = AntipodalArrangement.from_vectors(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    assert arr.relabel({1: 5, 2: 6, 3: 7, 4: 8}).labels == (5, 6, 7, 8)
+    with pytest.raises(ValueError, match="relabeling must not merge labels"):
+        arr.relabel({1: 5, 2: 5, 3: 6, 4: 7})
+    with pytest.raises(ValueError, match="relabeling must map every label"):
+        arr.relabel({1: 5, 2: 6, 3: 7})
+
+
+@pytest.mark.parametrize("d", [None, 2])
+def test_json_round_trip(d):
+    arr = random_sphere_arrangement(random.Random(11), 3, 6, d)
+    data = arr.to_json_dict()
+    assert AntipodalArrangement.from_json_dict(data) == arr
+    assert any("sqrt(2)" in x for row in data["points"] for x in row) == (d is not None)
 
 
 def test_positive_combination_signs_stable():
@@ -147,3 +167,5 @@ def test_projection_along_too_many_pairs():
     arr = random_sphere_arrangement(rng, 2, 5)
     with pytest.raises(ValueError):
         project_arrangement(arr, [1])
+    with pytest.raises(KeyError, match="label 9 not in arrangement"):
+        project_arrangement(random_sphere_arrangement(rng, 3, 6), [9])

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from normsys import (
+    AntipodalArrangement,
     LineCycle,
     SignedBijection,
     Symbol,
@@ -31,6 +32,17 @@ def test_symbol_parse_roundtrip():
 def test_symbol_rejects_head_in_triple():
     with pytest.raises(ValueError):
         Symbol(4, (2, -4, 3))
+    with pytest.raises(ValueError, match="triple must have three entries"):
+        Symbol(4, (1, 2))
+    with pytest.raises(ValueError, match="malformed symbol"):
+        Symbol.parse("4->1,2,3")
+    with pytest.raises(ValueError, match="unknown generator '13'"):
+        act("13", Symbol(4, (2, 1, 3)))
+    five = AntipodalArrangement.from_vectors(
+        2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3]]
+    )
+    with pytest.raises(ValueError, match="expected a four-pair 2-sphere arrangement"):
+        compatible_symbols(five)
 
 
 def test_symbol_count():
@@ -141,3 +153,7 @@ def test_match_to_standard_accepts_standard_cycles():
     # automorphism group
     closed = keys | {m.negate().key() for m in matches}
     assert closed == {a.key() for a in automorphisms(standard_arrangement())}
+    # a cycle through its own line matches no dictionary entry
+    cycle_map[(1, 1)] = LineCycle([1, 2, 3])
+    with pytest.raises(ValueError, match="cycles do not match any relabeling"):
+        match_to_standard(cycle_map)
