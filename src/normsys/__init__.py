@@ -26,13 +26,11 @@ _EXPORTS = {
     ),
     "cycles": ("CycleInvariantSet", "LineCycle", "all_cycle_invariants", "line_cycle"),
     "symbols": (
-        "STANDARD_DICTIONARY",
         "Symbol",
         "all_orbits",
         "all_symbols",
         "automorphisms",
         "compatible_symbols",
-        "match_to_standard",
         "orbit",
         "standard_arrangement",
     ),

@@ -286,7 +286,7 @@ def induced_sign_map(ha2: HyperplaneArrangement, w: SignedBijection) -> Chirotop
 
 def _check_pair(ha1: HyperplaneArrangement, ha2: HyperplaneArrangement) -> None:
     """Raise ValueError unless the arrangements share n and m and both are in
-    general position; the decider and the definition oracle start here."""
+    general position; the decider and both definition oracles start here."""
     if ha1.m != ha2.m or ha1.n != ha2.n:
         raise ValueError("arrangements must share n and m")
     for ha in (ha1, ha2):
@@ -365,8 +365,7 @@ def isomorphic_by_definition(
 ) -> bool:
     """Direct vertex-order oracle: along every line, the mapped vertex
     sequence must agree with the target's, up to reversal."""
-    if ha1.m != ha2.m or ha1.n != ha2.n:
-        raise ValueError("arrangements must share n and m")
+    _check_pair(ha1, ha2)
     if ha1.m < 2:
         return True
     perm = phi.perm

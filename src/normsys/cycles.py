@@ -77,6 +77,13 @@ def _angle_cmp(u, w) -> int:
     return -sign(d)  # positive cross product means u comes first (smaller angle)
 
 
+def _require_uniform(chi: Chirotope) -> None:
+    """Refuse a chi with a zero entry: cycles need general position."""
+    bad = chi.zero()
+    if bad is not None:
+        raise ValueError(f"dependent subset {bad}: not in general position")
+
+
 def line_cycle(arr: AntipodalArrangement, label: int, positive: bool = True) -> LineCycle:
     """Clockwise cyclic order of the other lines around +/-P_label.
 
@@ -93,13 +100,14 @@ def line_cycle(arr: AntipodalArrangement, label: int, positive: bool = True) -> 
         raise ValueError("need at least four antipodal pairs")
     if label not in arr.points:
         raise KeyError(f"label {label} not in arrangement")
+    _require_uniform(arr.chirotope)
     center = arr.points[label] if positive else arr.points[label].antipode()
     frame = Matrix(oriented_complement_frame([center.rep]))
     others = [(j, p) for j, p in arr.points.items() if j != label]
     folded = [(j, _fold_upper(frame.apply(p.rep))) for j, p in others]
     folded.sort(key=functools.cmp_to_key(lambda a, b: _angle_cmp(a[1], b[1])))
-    # ascending fold angle reads clockwise as seen from the point; the
-    # convention is calibrated against the standard four-pair dictionary
+    # ascending fold angle reads clockwise as seen from the point, as in
+    # the paper's cycle tables (the ``*-cycles`` fixtures)
     return LineCycle(tuple(j for j, _ in folded))
 
 
@@ -149,9 +157,7 @@ def chirotope_cycles(chi: Chirotope) -> CycleInvariantSet:
     Putting j in its sorted place among A reverses the order when that
     takes an odd number of transpositions.
     """
-    bad = chi.zero()
-    if bad is not None:
-        raise ValueError(f"dependent subset {bad}: not in general position")
+    _require_uniform(chi)
     orders = chi._table(contraction_orders)
     cycles: Dict[CycleKey, LineCycle] = {}
     for subset in combinations(chi.labels, chi.rank - 3):

@@ -4,14 +4,15 @@ A symbol "p -> (q, r, s)" records that point p is a positive combination of
 the ordered triple (q, r, s), with the triple clockwise (negatively)
 oriented.  Signed labels live in {+-1, ..., +-4}; the four underlying lines
 are pairwise distinct.  The symmetric group on four letters acts freely on
-the 384 formal symbols through four generator rules.  Dictionary matches
-and automorphisms are ``chirotope.SignedBijection`` values.
+the 384 formal symbols through four generator rules.  Automorphisms are
+``chirotope.SignedBijection`` values.  The standard arrangement's line-cycle
+dictionary is the ``S4-cycles`` fixture, which ``verify-paper`` recomputes.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 from .chirotope import SignedBijection, all_signed_bijections, pullback_sign
 from .frozen import Frozen
@@ -134,45 +135,11 @@ def compatible_symbols(arr: AntipodalArrangement) -> frozenset:
     )
 
 
-STANDARD_DICTIONARY: Dict[Tuple[int, int], Tuple[int, ...]] = {
-    (4, +1): (2, 1, 3), (4, -1): (2, 3, 1),
-    (3, +1): (1, 4, 2), (3, -1): (1, 2, 4),
-    (2, +1): (3, 4, 1), (2, -1): (3, 1, 4),
-    (1, +1): (2, 4, 3), (1, -1): (2, 3, 4),
-}
-
-
 def standard_arrangement() -> AntipodalArrangement:
     """Coordinate axes plus the all-ones interior point."""
     return AntipodalArrangement.from_vectors(
         2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
     )
-
-
-def match_to_standard(cycle_map) -> List[SignedBijection]:
-    """All signed bijections aligning a four-pair arrangement's line cycles
-    with the standard dictionary.
-
-    ``cycle_map`` maps (label, +-1) to a LineCycle on labels {1..4}.  Each
-    match stands for a pair {w, w.negate()} of equivalent alignments; the
-    returned list contains one representative per pair.
-    """
-    from .cycles import LineCycle
-
-    std = {k: LineCycle(v) for k, v in STANDARD_DICTIONARY.items()}
-    matches = []
-    for cand in all_signed_bijections([1, 2, 3, 4]):
-        ok = True
-        for j in (1, 2, 3, 4):
-            target = std[(cand.perm[j], cand.signs[j])]
-            if cycle_map[(j, +1)].conjugate(cand.perm) != target:
-                ok = False
-                break
-        if ok:
-            matches.append(cand)
-    if not matches:
-        raise ValueError("cycles do not match any relabeling of the dictionary")
-    return matches
 
 
 def automorphisms(arr: AntipodalArrangement) -> List[SignedBijection]:

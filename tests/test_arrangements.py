@@ -572,11 +572,14 @@ def test_isomorphism_rejects_input_not_in_general_position():
 
 def test_definition_oracle_rejects_what_the_decider_rejects():
     # the concurrent x = 0, y = 0, x + y = 0 is refused, not found isomorphic
-    # to itself
+    # to itself; so is every pair by the per-bijection test
     for bad, good, message in not_in_general_position():
+        identity = SignedBijection.identity(bad.labels)
         for pair in ((bad, good), (good, bad), (bad, bad)):
             with pytest.raises(ValueError, match=message):
                 definition_oracle_isomorphic(*pair)
+            with pytest.raises(ValueError, match=message):
+                isomorphic_by_definition(*pair, identity)
         assert definition_oracle_isomorphic(good, good)
 
 

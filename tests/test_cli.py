@@ -288,6 +288,20 @@ def test_verify_paper_reports_a_wrong_stored_cycle(monkeypatch, capsys):
     assert lines[at + 2] == "U2-cycles: ok"
     assert lines[-1] == "fixtures: 5/6 verified"
 
+    # the standard dictionary's (1, +) cycle reversed
+    def tampered(fixture_id):
+        data = raw(fixture_id)
+        if fixture_id == "S4-cycles":
+            data["cycles"]["1,+"].reverse()
+        return data
+
+    monkeypatch.setattr(fixtures, "_raw", tampered)
+    assert main(["verify-paper"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("S4-cycles: FAIL")
+    assert lines[at + 1] == "  cycle (1,+): computed (2 4 3) != stored (2 3 4)"
+    assert lines[-1] == "fixtures: 5/6 verified"
+
     # two stored symbols and one equation's vector changed: each diff is
     # listed, the symbols sorted
     def tampered(fixture_id):

@@ -21,7 +21,6 @@ from normsys import (
 )
 from normsys import cycles
 from normsys.cycles import chirotope_cycles, contraction_orders
-from normsys.symbols import STANDARD_DICTIONARY
 from conftest import random_normal_system, random_sphere_arrangement, reference_order
 
 
@@ -55,6 +54,13 @@ def test_cycles_refuse_shapes_they_are_not_defined_on():
     plane = AntipodalArrangement.from_vectors(1, [[1, 0], [0, 1], [1, 1]])
     with pytest.raises(ValueError, match="cycle invariants need sphere dimension >= 2"):
         all_cycle_invariants(plane)
+    # lines 1 and 2 coincide through P3, so the order around P3 would be a
+    # tie broken by label
+    flat = AntipodalArrangement.from_vectors(
+        2, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 2, 3]], check=False
+    )
+    with pytest.raises(ValueError, match=r"dependent subset \(1, 2, 3\): not in general"):
+        line_cycle(flat, 3)
 
 
 def test_cycle_inverse_and_conjugate():
@@ -71,8 +77,10 @@ def test_cycle_rejects_duplicates():
 
 def test_standard_dictionary_is_computed():
     arr = standard_arrangement()
-    for (j, s), triple in STANDARD_DICTIONARY.items():
-        assert line_cycle(arr, j, positive=(s > 0)) == LineCycle(triple)
+    stored = load_fixture("S4-cycles").payload
+    assert len(stored) == 8
+    for (j, s), cyc in stored.items():
+        assert line_cycle(arr, j, positive=(s > 0)) == cyc
 
 
 def test_antipodal_cycles_are_inverse():

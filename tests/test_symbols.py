@@ -5,16 +5,16 @@ import pytest
 
 from normsys import (
     AntipodalArrangement,
-    LineCycle,
+    NormalSystem,
     SignedBijection,
     Symbol,
     all_orbits,
     all_symbols,
     automorphisms,
     compatible_symbols,
+    find_isomorphisms,
     line_cycle,
     load_fixture,
-    match_to_standard,
     orbit,
     standard_arrangement,
 )
@@ -138,22 +138,40 @@ def test_automorphism_group_of_standard():
         assert a.compose(b).key() in keys
 
 
-def test_match_to_standard_accepts_standard_cycles():
-    arr = standard_arrangement()
-    cycle_map = {
-        (j, s): line_cycle(arr, j, positive=(s > 0))
-        for j in arr.labels
-        for s in (1, -1)
-    }
-    matches = match_to_standard(cycle_map)
-    assert len(matches) == 24
-    keys = {m.key() for m in matches}
-    assert SignedBijection.identity((1, 2, 3, 4)).key() in keys
-    # one representative per negation pair; closing up gives the full
-    # automorphism group
-    closed = keys | {m.negate().key() for m in matches}
-    assert closed == {a.key() for a in automorphisms(standard_arrangement())}
-    # a cycle through its own line matches no dictionary entry
-    cycle_map[(1, 1)] = LineCycle([1, 2, 3])
-    with pytest.raises(ValueError, match="cycles do not match any relabeling"):
-        match_to_standard(cycle_map)
+def carries_cycles(cycles1, cycles2, w) -> bool:
+    """The rule for a decider on 2-sphere line cycles (Theorem MITTD): for
+    one global eps = +-1, every cycle (j, s) of the first family, conjugated
+    by pi and reversed when eps = -1, is the cycle (pi(j), mu(j) s) of the
+    second."""
+    pi, mu = w.perm, w.signs
+    mapped = {(pi[j], mu[j] * s): c.conjugate(pi) for (j, s), c in cycles1.items()}
+    return mapped == cycles2 or {k: c.inverse() for k, c in mapped.items()} == cycles2
+
+
+def test_cycle_dictionary_characterises_the_automorphisms():
+    # on the S4-cycles fixture the rule passes exactly the automorphisms of
+    # the standard arrangement, in order; on random families, exactly chi's
+    # self-isomorphisms
+    def passing(cycles1, cycles2, labels):
+        bijections = all_signed_bijections(labels)
+        return [w for w in bijections if carries_cycles(cycles1, cycles2, w)]
+
+    std = load_fixture("S4-cycles").payload
+    auts = automorphisms(standard_arrangement())
+    assert len(auts) == 48
+    assert passing(std, std, (1, 2, 3, 4)) == auts
+    # with its (1, +) cycle reversed, the family maps onto the standard one
+    # by no bijection
+    tampered = dict(std)
+    tampered[(1, 1)] = std[(1, 1)].inverse()
+    assert passing(tampered, std, (1, 2, 3, 4)) == []
+    rng = random.Random(3)
+    for n in (4, 5, 5, 5):
+        arr = random_sphere_arrangement(rng, 2, n)
+        cycles = {
+            (j, s): line_cycle(arr, j, positive=s > 0)
+            for j in arr.labels
+            for s in (1, -1)
+        }
+        ns = NormalSystem.from_arrangement(arr)
+        assert passing(cycles, cycles, arr.labels) == find_isomorphisms(ns, ns)
