@@ -95,12 +95,14 @@ class HyperplaneArrangement(Frozen):
 def concurrency_sign_map(ha: HyperplaneArrangement) -> Chirotope:
     """chi_hom, the lift's signs on the (m+1)-subsets S without e: those of
     det(rows (a_i | c_i), i in S), kept with the lift's chi from the first
-    call (``_deletion``).  Raises ValueError on a concurrent S, on every
-    call."""
+    call (``_deletion``).  Raises ValueError, on every call, on input not
+    in general position: naming a concurrent S if there is one."""
     hom = ha.lift.chirotope._table(_deletion)
     bad = hom.zero()
     if bad is not None:
         raise ValueError(f"hyperplanes {bad} are concurrent")
+    if not ha.is_valid():
+        raise ValueError(_INVALID)
     return hom
 
 
@@ -271,7 +273,7 @@ def _split(sides: list) -> int:
 def _bounds_region(plus: dict, subset: Tuple[int, ...], n: int) -> bool:
     """True iff the side masks of the sorted subset's vertices agree off
     the subset."""
-    sides = [plus[subset[:j] + subset[j + 1 :]] for j in range(len(subset))]
+    sides = [plus[sub] for sub in combinations(subset, len(subset) - 1)]
     return not _split(sides) & ~sum(1 << (n - h) for h in subset)
 
 
@@ -291,8 +293,7 @@ def _check_pair(ha1: HyperplaneArrangement, ha2: HyperplaneArrangement) -> None:
         raise ValueError("arrangements must share n and m")
     for ha in (ha1, ha2):
         if not ha.is_valid():
-            concurrency_sign_map(ha)  # names a concurrent subset
-            raise ValueError(_INVALID)
+            concurrency_sign_map(ha)  # raises, naming a concurrent subset if any
 
 
 class IsoResult(Frozen):
@@ -399,7 +400,8 @@ def _circuits(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], list]:
     up to a positive factor; the cone of c is {c : v_S . c > 0 for all S}.
 
     v_S = chi_hom(S) g_S, where g_S[s] = (-1)^(j+m) det A_{S-s} for the j-th
-    label s of S (from 0), the cofactors of the last column of the rows
+    label s of S (from 0, so the signs alternate from + at the last label
+    back), the cofactors of the last column of the rows
     (a_i | c_i): a circuit of the normals.  For normals scaled by k_i > 0
     (``scaled_minors``), k_s times the scaled cofactor is g_S[s] times the
     product of the k_i over S, a positive factor.  Over Q(sqrt d) each
@@ -416,9 +418,9 @@ def _circuits(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], list]:
     walls = {}
     for sub, s in hom.items():
         v = [0] * ha.n
-        s *= (-1) ** m
-        for j, i in enumerate(sub):
-            v[i - 1] = (-s if j % 2 else s) * scale[i] * minors[sub[:j] + sub[j + 1 :]]
+        for rest, i in zip(combinations(sub, m), reversed(sub)):
+            v[i - 1] = s * scale[i] * minors[rest]
+            s = -s
         walls[sub] = v
     return walls
 

@@ -31,7 +31,7 @@ from collections import defaultdict
 from functools import reduce
 from itertools import combinations, permutations, product, starmap
 from math import comb, lcm
-from operator import gt, itemgetter, mul
+from operator import gt, mul
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .field import FieldTagMismatch, FieldValue, QuadExt, quad_sign
@@ -206,31 +206,24 @@ class Chirotope(Frozen):
 def contraction_orders(chi: Chirotope) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
     """The cyclic order of the lines of the rank-2 contraction chi/H, from
     the first label q0 outside H on, for every sorted (rank - 2)-subset H
-    (the empty head at rank 2).
+    (the empty head at rank 2); the rank is >= 2.
 
-    Each base B is read once: for each position pair i < j it gives the
-    sign chi(H, B_i, B_j) = chi(B) (-1)^(i+j+1) with H = B without B_i,
-    B_j.  Folding every line into the half-plane that starts at the first
-    other label q0 turns line b by f_b = chi(H, q0, b), and a comes before
-    b iff f_a f_b chi(H, a, b) > 0; in that product each label's position
-    parity appears twice, so chi(B) stands for each of the three signs.
-    A label's place in the order is the number of labels before it.  For
-    a fixed H the bases H + {a, b} come in the lexicographic order of
-    (a, b), so H's signs arrive in the order of ``combinations``, q0's
-    pairs first.
+    Each base B is read once and gives its sign to every (rank - 2)-subset
+    H of it, B = H + {a, b}: chi(H, a, b) = chi(B) (-1)^(i+j+1) for the
+    positions i < j of a and b in B.  Folding every line into the
+    half-plane that starts at the first other label q0 turns line b by
+    f_b = chi(H, q0, b), and a comes before b iff f_a f_b chi(H, a, b) > 0;
+    in that product each label's position parity appears twice, so chi(B)
+    stands for each of the three signs.  A label's place in the order is
+    the number of labels before it.  H's bases arrive in the sorted order
+    of the bases, the lexicographic order of (a, b): that of
+    ``combinations``, q0's pairs first.
     """
     labels, r = chi.labels, chi.rank
-    cuts = []  # base -> its labels at every position but i and j, as a tuple
-    for i, j in combinations(range(r), 2):
-        keep = [t for t in range(r) if t not in (i, j)]
-        if len(keep) > 1:
-            cuts.append(itemgetter(*keep))
-        else:  # a slice keeps the one label, or none, in a tuple
-            cuts.append(itemgetter(slice(keep[0], keep[0] + 1) if keep else slice(0)))
     signs = defaultdict(list)
     for base, s in chi.signs.items():
-        for cut in cuts:
-            signs[cut(base)].append(s)
+        for head in combinations(base, r - 2):
+            signs[head].append(s)
     size = len(labels) - r + 2
     pairs = list(combinations(range(1, size), 2))
     orders = {}

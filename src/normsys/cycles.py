@@ -20,7 +20,7 @@ import functools
 from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
-from .chirotope import Chirotope, _odd, contraction_orders
+from .chirotope import Chirotope, contraction_orders
 from .field import sign
 from .frozen import Frozen
 from .linalg import Matrix
@@ -154,19 +154,16 @@ def chirotope_cycles(chi: Chirotope) -> CycleInvariantSet:
 
     Projected along a sorted subset A and seen from P_j, the cycle is the
     contraction order of chi by (A, j); the cycle at -P_j is its inverse.
-    Putting j in its sorted place among A reverses the order when that
-    takes an odd number of transpositions.
+    The order by (A, j) is that of the sorted head A + {j}, reversed once
+    for each label of the head after j: with j taken from the last label
+    of the head back, the two cycles swap at each step.
     """
     _require_uniform(chi)
-    orders = chi._table(contraction_orders)
     cycles: Dict[CycleKey, LineCycle] = {}
-    for subset in combinations(chi.labels, chi.rank - 3):
-        for j in chi.labels:
-            if j in subset:
-                continue
-            cyc = LineCycle(orders[tuple(sorted(subset + (j,)))])
-            if _odd(subset + (j,)):
-                cyc = cyc.inverse()
-            cycles[(subset, j, +1)] = cyc
-            cycles[(subset, j, -1)] = cyc.inverse()
+    for head, order in chi._table(contraction_orders).items():
+        pos = LineCycle(order)
+        neg = pos.inverse()
+        for subset, j in zip(combinations(head, chi.rank - 3), reversed(head)):
+            cycles[(subset, j, +1)], cycles[(subset, j, -1)] = pos, neg
+            pos, neg = neg, pos
     return CycleInvariantSet(cycles)

@@ -438,7 +438,8 @@ def test_sign_map_three_lines():
 
 def test_sign_map_is_kept_with_the_lift():
     """chi_hom is copied from the lift's signs once: two calls return the
-    same object.  A concurrent arrangement raises on every call."""
+    same object.  A concurrent arrangement raises on every call, and so
+    does one whose normals are dependent but has no concurrent subset."""
     ha = random_arrangement(random.Random(47), 2, 6)
     hom = concurrency_sign_map(ha)
     assert concurrency_sign_map(ha) is hom
@@ -447,6 +448,16 @@ def test_sign_map_is_kept_with_the_lift():
     for _ in range(2):
         with pytest.raises(ValueError, match=r"hyperplanes \(1, 2, 3\) are concurrent"):
             concurrency_sign_map(bad)
+    for m, coeffs, constants in [
+        (2, [[1, 0], [2, 0], [0, 1]], [0, 1, 0]),  # two parallel lines
+        (3, [[1, 0, 0], [1, 0, 0]], [0, 1]),  # two parallel planes
+    ]:
+        dependent = HyperplaneArrangement(m, coeffs, constants, check=False)
+        ident = SignedBijection.identity(dependent.labels)
+        for _ in range(2):
+            for call in (concurrency_sign_map, lambda h: induced_sign_map(h, ident)):
+                with pytest.raises(ValueError, match="not a general-position hyperplane"):
+                    call(dependent)
 
 
 def test_identity_induces_own_sign_map():

@@ -599,6 +599,48 @@ def test_rank_one_and_two_witness_counts(d):
         assert len(find_isomorphisms(a, b)) == 2 * factorial(n)
 
 
+def _check_coset_law(aut, aut_b, found):
+    """Aut(a) holds the identity and its negation and is closed, |Aut(b)| =
+    |Aut(a)|, and W(a, b) = w Aut(a) for the first witness w: a witness
+    lost by any of the searches breaks one."""
+    identity = SignedBijection.identity(aut[0].labels)
+    assert identity in aut and identity.negate() in aut
+    assert len(aut_b) == len(aut)
+    members = set(aut)
+    assert all(g.compose(h) in members for g in aut[:12] for h in aut)
+    assert sorted(found[0].compose(g) for g in aut) == found
+
+
+def test_witness_sets_obey_the_coset_law():
+    """Past the oracle's n <= 7, where witness sets are checked by their
+    algebra alone: Aut(a) = W(a, a) holds the identity and its negation,
+    W(a, b) holds the planted witness, and W(a, b) is a coset of Aut(a).
+    Moment curves (3,8)-(6,12) and random systems (4,14)-(8,16) over Q,
+    random (3,8) and (4,10) over Q(sqrt 5); lifts (2,7)-(4,9) with e
+    pinned, whose witnesses are checked by pullback instead.  At most
+    10 s of CPU time."""
+    start = time.process_time()
+    rng = random.Random(5)
+    systems = [
+        (NormalSystem(m, [[t**k for k in range(m)] for t in range(1, n + 1)]), None)
+        for m, n in [(3, 8), (4, 9), (5, 10), (6, 12)]
+    ]
+    systems += [(random_normal_system(rng, m, n), None) for m, n in [(4, 14), (6, 14), (8, 16)]]
+    systems += [(random_normal_system(rng, m, n, 5), 5) for m, n in [(3, 8), (4, 10)]]
+    for a, d in systems:
+        b, planted = planted_system(rng, a, d)
+        aut, found = find_isomorphisms(a, a), find_isomorphisms(a, b)
+        assert planted in found
+        _check_coset_law(aut, find_isomorphisms(b, b), found)
+    for m, n in [(2, 7), (3, 8), (4, 9)]:
+        ha = random_arrangement(rng, m, n)
+        chi1, chi2 = ha.lift.chirotope, planted_arrangement(rng, ha).lift.chirotope
+        aut, found = _witnesses(chi1, chi1, pin=n + 1), _witnesses(chi1, chi2, pin=n + 1)
+        assert found and all(pullback_sign(chi1, chi2, w) for w in found)
+        _check_coset_law(aut, _witnesses(chi2, chi2, pin=n + 1), found)
+    assert time.process_time() - start < 10
+
+
 def test_worked_examples_not_isomorphic():
     u1 = load_fixture("U1").payload
     u2 = load_fixture("U2").payload
