@@ -242,12 +242,6 @@ def predicted_counts(n: int, m: int) -> Tuple[int, int, int]:
     return total, bounded, unbounded
 
 
-def _vertex(ha: HyperplaneArrangement, subset: Sequence[int]) -> tuple:
-    from .linalg import Matrix, solve
-
-    return solve(Matrix([ha.row(i) for i in subset]), [ha.constant(i) for i in subset])
-
-
 def polyhedralities(ha: HyperplaneArrangement) -> List[Tuple[int, ...]]:
     """Every sorted (m+1)-subset that ``is_simplex_polyhedrality`` accepts,
     off one side table."""
@@ -335,64 +329,64 @@ def arrangements_isomorphic(
     return IsoResult(True, w, "a" if eps > 0 else "b")
 
 
-def _line_vertex_order(
-    ha: HyperplaneArrangement, line: Sequence[int]
-) -> Tuple[int, ...]:
-    """Labels of the other hyperplanes in the order their vertices appear
-    along the line cut out by the given (m-1)-subset."""
-    from .linalg import Matrix, kernel_basis
+def _line_orders(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """For every sorted (m-1)-subset L, the labels of the other hyperplanes
+    in the order their vertices appear along the line L cuts out; {} when
+    m < 2 (points on a line have no line).  Each vertex p is solved once
+    and placed by d . p, d the line's one direction in general position (a
+    factor on d at most reverses the order).  Not kept with chi: it reads
+    coordinates."""
+    from .linalg import Matrix, kernel_basis, solve
 
-    line = tuple(sorted(line))
-    if len(line) != ha.m - 1:
-        raise ValueError("need m - 1 hyperplanes to cut out a line")
-    dirs = kernel_basis(Matrix([ha.row(i) for i in line]))
-    if len(dirs) != 1:
-        raise ValueError("subset does not cut out a line")
-    d = dirs[0]
-    params = []
-    for j in ha.labels:
-        if j in line:
-            continue
-        p = _vertex(ha, list(line) + [j])
-        # exact parameter along the chosen direction (up to a common
-        # positive factor, which cannot change the order)
-        params.append((sum(x * y for x, y in zip(d, p)), j))
-    params.sort(key=lambda item: item[0])
-    return tuple(j for _, j in params)
+    orders = {}
+    for line in combinations(ha.labels, ha.m - 1) if ha.m > 1 else ():
+        rows, cons = [ha.row(i) for i in line], [ha.constant(i) for i in line]
+        [d] = kernel_basis(Matrix(rows))
+        at = {}
+        for j in ha.labels:
+            if j not in line:
+                p = solve(Matrix(rows + [ha.row(j)]), cons + [ha.constant(j)])
+                at[j] = sum(x * y for x, y in zip(d, p))
+        orders[line] = tuple(sorted(at, key=at.__getitem__))
+    return orders
+
+
+def _carries(orders1: dict, orders2: dict, perm: Dict[int, int]) -> bool:
+    """True iff perm carries the vertex order along every line of orders1
+    onto that along the image line in orders2, up to reversal."""
+    for line, seq in orders1.items():
+        image = tuple(perm[j] for j in seq)
+        target = orders2[tuple(sorted(perm[i] for i in line))]
+        if image != target and image[::-1] != target:
+            return False
+    return True
 
 
 def isomorphic_by_definition(
     ha1: HyperplaneArrangement, ha2: HyperplaneArrangement, phi: SignedBijection
 ) -> bool:
     """Direct vertex-order oracle: along every line, the mapped vertex
-    sequence must agree with the target's, up to reversal."""
+    sequence must agree with the target's, up to reversal.  Raises
+    ValueError unless phi's labels are the arrangements'."""
     _check_pair(ha1, ha2)
-    if ha1.m < 2:
-        return True
-    perm = phi.perm
-    for line in combinations(ha1.labels, ha1.m - 1):
-        seq1 = tuple(perm[j] for j in _line_vertex_order(ha1, line))
-        seq2 = _line_vertex_order(ha2, sorted(perm[i] for i in line))
-        if seq1 != seq2 and seq1 != tuple(reversed(seq2)):
-            return False
-    return True
+    if set(phi.labels) != set(ha1.labels):
+        raise ValueError("bijection labels do not match the arrangements")
+    return _carries(_line_orders(ha1), _line_orders(ha2), phi.perm)
 
 
 def definition_oracle_isomorphic(
     ha1: HyperplaneArrangement, ha2: HyperplaneArrangement, max_n: int = 5
 ) -> bool:
-    """Exhaustive search over all subscript bijections (factorial guard)."""
+    """Exhaustive search over all subscript bijections (factorial guard):
+    both line-order tables are built once, then compared under each."""
     _check_pair(ha1, ha2)
     if ha1.n > max_n:
         raise ValueError(f"definition oracle limited to n <= {max_n}")
-    labels = list(ha1.labels)
-    for images in permutations(labels):
-        phi = SignedBijection(
-            dict(zip(labels, images)), {i: 1 for i in labels}
-        )
-        if isomorphic_by_definition(ha1, ha2, phi):
-            return True
-    return False
+    orders1, orders2, labels = _line_orders(ha1), _line_orders(ha2), ha1.labels
+    return any(
+        _carries(orders1, orders2, dict(zip(labels, images)))
+        for images in permutations(labels)
+    )
 
 
 def _circuits(ha: HyperplaneArrangement) -> Dict[Tuple[int, ...], list]:
@@ -514,7 +508,6 @@ def adjacent_cone_constants(
     """
     facet = tuple(sorted(facet))
     walls, m = _circuits(ha), ha.m
-    _sides(ha)  # raises on input not in general position
     if facet not in walls:
         raise ValueError("subset must be m + 1 distinct hyperplane labels")
     v, z = walls[facet], _certificate(walls, walls, facet, m)

@@ -341,10 +341,10 @@ def _packed(chi: Chirotope):
     """chi's signs, in sorted base order, and the packed masks
     (``_pack``, bit C - 1 - k for base k of C) of the bases that hold each
     label, in label order, and each label pair, in ``combinations`` order
-    (none at rank 1); kept with chi."""
+    (all 0 at rank 1); kept with chi."""
     bases = list(chi.signs)
     singles = [_pack(i in base for base in bases) for i in chi.labels]
-    pairs = list(starmap(and_, combinations(singles, 2))) if chi.rank > 1 else []
+    pairs = list(starmap(and_, combinations(singles, 2)))
     return tuple(chi.signs.values()), singles, pairs
 
 
@@ -356,7 +356,8 @@ def _accepted(chi1: Chirotope, chi2: Chirotope, candidates) -> List[SignedBiject
     (``_packed``): x, bit C - 1 - k for base B_k, is [chi2(pi B) !=
     chi1(B)], chi2 read sorted on each image base's mask sum(1 << pi(i))
     (``_by_mask``), then XORed with the mask of the bases that hold each
-    label pair pi inverts, the sort parity of pi on every base at once.
+    label pair pi inverts, the sort parity of pi on every base at once (a
+    rank-1 base holds no pair, so at rank 1 every pair mask is 0).
     A witness pulls chi2 back to eps * chi1, so with B' the first base B0
     with b replaced by u, mu(u) / mu(b) = -1 iff x(B') != x(B0):
     exchanges at b0 give mu outside B0 (B' = B0[1:] + (u,), u above B0),
@@ -380,10 +381,9 @@ def _accepted(chi1: Chirotope, chi2: Chirotope, candidates) -> List[SignedBiject
     for perm in chain((perm,), candidates):
         images = list(map(perm.__getitem__, labels))
         bits = [1 << q for q in images]
-        masks = bits if r == 1 else map(sum, combinations(bits, r))
+        masks = map(sum, combinations(bits, r))
         x = _pack(map(ne, s1, map(by_mask.__getitem__, masks)))
-        if pairs:
-            x = reduce(xor, compress(pairs, starmap(gt, combinations(images, 2))), x)
+        x = reduce(xor, compress(pairs, starmap(gt, combinations(images, 2))), x)
         x0 = x >> top
         neg = {u: x0 ^ (x >> top - k & 1) for k, u in enumerate(outside, lo)}  # mu(u) < 0
         for b, shift in at:

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +34,7 @@ from normsys import (
 from normsys import arrangements, fm
 from normsys.chirotope import Chirotope, pullback_sign
 from normsys.arrangements import (
-    _line_masks, _line_vertex_order, _side_table, _sides, isomorphic_by_definition
+    _line_masks, _side_table, _sides, isomorphic_by_definition
 )
 from conftest import (
     affine_image,
@@ -44,6 +46,8 @@ from conftest import (
     random_simplex_arrangement,
     vertex_of,
 )
+
+INPUTS = Path(__file__).parents[1] / "bench" / "inputs"
 
 
 def frac_rows(rows):
@@ -612,6 +616,32 @@ def test_isomorphic_by_definition_at_one_dimension():
     assert isomorphic_by_definition(ha, ha, SignedBijection.identity(ha.labels))
 
 
+def test_isomorphic_by_definition_refuses_a_bijection_on_other_labels():
+    ha = random_arrangement(random.Random(3), 2, 4)
+    for labels in (range(1, 6), range(1, 4), range(2, 6)):
+        with pytest.raises(ValueError, match="bijection labels do not match"):
+            isomorphic_by_definition(ha, ha, SignedBijection.identity(labels))
+
+
+def test_decider_matches_the_definition_at_six_and_seven_hyperplanes():
+    # planted and independent pairs over Q and Q(sqrt 5), and the
+    # benchmark's Q(sqrt 5) pairs at (3,6)
+    rng, pairs = random.Random(71), []
+    for m, n in ((2, 6), (3, 6), (2, 7), (3, 7)):
+        for d in (None, 5):
+            ha = random_arrangement(rng, m, n, d)
+            pairs.append((ha, planted_arrangement(rng, ha, d)))
+            pairs.append((random_arrangement(rng, m, n, d), random_arrangement(rng, m, n, d)))
+    a, b, c = (
+        HyperplaneArrangement.from_json_dict(json.loads((INPUTS / name).read_text()))
+        for name in ("q5_ha_a.json", "q5_ha_b.json", "q5_ha_c.json")
+    )
+    pairs += [(a, b), (a, c)]
+    verdicts = [arrangements_isomorphic(*pair).isomorphic for pair in pairs]
+    assert [definition_oracle_isomorphic(*pair, max_n=7) for pair in pairs] == verdicts
+    assert 0 < sum(verdicts) < len(pairs)
+
+
 def test_cone_move_flips_exactly_one_sign():
     rng = random.Random(45)
     ha = random_arrangement(rng, 2, 5)
@@ -842,10 +872,3 @@ def test_shape_mismatch_rejected():
     phi = SignedBijection.identity(a.labels)
     with pytest.raises(ValueError, match="arrangements must share n and m"):
         isomorphic_by_definition(a, b, phi)
-    with pytest.raises(ValueError, match="need m - 1 hyperplanes to cut out a line"):
-        _line_vertex_order(a, [1, 2])
-    parallel = HyperplaneArrangement(
-        3, [[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 0, 0], check=False
-    )
-    with pytest.raises(ValueError, match="subset does not cut out a line"):
-        _line_vertex_order(parallel, [1, 2])

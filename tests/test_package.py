@@ -128,6 +128,25 @@ def test_module_level_imports_have_no_cycle():
     assert graph["arrangements"] == {"chirotope", "field", "frozen", "normal_systems"}
 
 
+def test_every_import_is_read():
+    """Each name a module binds by an import, at any depth, is read
+    somewhere in it; ``__future__`` imports are exempt."""
+    unread = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        bound = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in nodes
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if bound - read:
+            unread[path.name] = sorted(bound - read)
+    assert unread == {}
+
+
 def loaded_by(*argv: str) -> list:
     code = (
         "import contextlib, io, json, sys\n"
